@@ -81,10 +81,11 @@ type Config = system.Config
 // DefaultConfig returns the evaluation machine for a scheme.
 func DefaultConfig(s Scheme) Config { return system.DefaultConfig(s) }
 
-// KernelAuto, assigned to Config.Shards or Config.Workers, resolves the
-// simulation kernel and its worker-pool size from topology and host
-// occupancy at build time (system.ResolveKernel). Results are bit-identical
-// for every kernel choice.
+// KernelAuto, assigned to Config.Shards or Config.Workers, lets the host
+// pick the simulation kernel and its worker-pool size at build time
+// (system.ResolveKernel): auto shards pick the sequential kernel, auto
+// workers of an explicit shard count track host occupancy. Results are
+// bit-identical for every kernel choice.
 const KernelAuto = system.KernelAuto
 
 // ParseKernel parses a -shards / -workers style flag value: "auto" selects

@@ -207,20 +207,20 @@ type benchRun struct {
 	CyclesPerSec float64 `json:"cycles_per_sec"`
 	// Sched carries the sharded conductor's scheduling counters (waves
 	// run/fused/skipped, barriers elided, park events) so coordination
-	// overhead is observable in the committed snapshots, not inferred from
-	// wall clock; nil for sequential-kernel runs.
+	// overhead is observable in the report, not inferred from wall clock;
+	// nil for sequential-kernel runs.
 	Sched *sim.SchedCounters `json:"sched,omitempty"`
 }
 
-// benchReport is the machine-readable simulator-speed snapshot committed as
-// BENCH_*.json, tracking the perf trajectory across PRs. Shards/Workers
+// benchReport is a quick machine-readable simulator-speed snapshot of one
+// figure suite (the repository's benchmark is perfbench; see DESIGN.md
+// "Performance tracking"). Shards/Workers
 // record the simulation kernel the report was measured with (0 =
 // sequential). HostCPUs is the machine's logical CPU count
 // (runtime.NumCPU) and Gomaxprocs the Go scheduler's parallelism cap at
 // measurement time — they differ under quota-limited containers or an
 // explicit GOMAXPROCS, and a sharded wall-clock number needs both to be
-// interpreted. (Reports before the split recorded GOMAXPROCS under
-// host_cpus; see EXPERIMENTS.md.)
+// interpreted.
 type benchReport struct {
 	Suite        string     `json:"suite"`
 	Scale        string     `json:"scale"`
@@ -239,7 +239,7 @@ type benchReport struct {
 // ".fig51a." stamp), the suite and scale are inserted before the
 // extension — BENCH_after.json at ScaleSmall becomes
 // BENCH_after.fig51a.small.json — so reports from different suites and
-// scales can be committed side by side without overwriting each other.
+// scales can sit side by side without overwriting each other.
 func stampBenchPath(path, suite, scaleName string) string {
 	if path == "-" || strings.Contains(path, "."+suite+".") {
 		return path
@@ -303,7 +303,7 @@ func main() {
 	figFlag := flag.String("fig", "all", "figure to regenerate (all, table4.1, 5.1a, 5.1b, 5.2a, 5.2b, 5.3, 5.4, 5.5, 5.6, 5.7, 5.8)")
 	scaleFlag := flag.String("scale", "small", "input scale (tiny, small, medium)")
 	benchFlag := flag.String("benchjson", "", "write a machine-readable Fig 5.1a wall-clock benchmark report to this file, with suite+scale stamped into the name (use - for stdout), and exit")
-	shardsFlag := flag.String("shards", "0", "sharded simulation kernel: tile/cube groups per side (0 = sequential kernel, \"auto\" = resolve from topology and GOMAXPROCS; results are bit-identical)")
+	shardsFlag := flag.String("shards", "0", "sharded simulation kernel: tile/cube groups per side (0 = sequential kernel, \"auto\" = let the host pick, currently always the sequential kernel; results are bit-identical)")
 	workersFlag := flag.String("workers", "0", "sharded kernel worker threads per simulation (0 = shards, \"auto\" = resolve with -shards)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (profile shard-scaling bottlenecks directly from the harness)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")

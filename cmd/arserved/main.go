@@ -76,7 +76,7 @@ func main() {
 	shards := flag.Int("shards", 0, "result cache shard count (0 = 16)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown deadline")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
-	simShards := flag.String("simshards", "0", "run jobs without a pinned kernel on the sharded simulation kernel with this shard count (0 = sequential, \"auto\" = resolve per job from topology and free budget capacity); a sharded job holds its resolved worker count in the shared budget")
+	simShards := flag.String("simshards", "0", "run jobs without a pinned kernel on the sharded simulation kernel with this shard count (0 = sequential, \"auto\" = let the host pick per job, currently always the sequential kernel); a sharded job holds its resolved worker count in the shared budget")
 	storeDir := flag.String("store", "", "directory for the crash-safe result store; empty disables persistence")
 	snapDir := flag.String("snapshots", "", "directory for the checkpoint store backing prefix-shared sweeps (warm starts across restarts); empty keeps sweep checkpoints in memory only")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-clock deadline (0 = none); expired jobs abort and release their worker slots")

@@ -82,6 +82,10 @@ type L1 struct {
 	// (Access from the core, Deliver from the NoC).
 	waker *sim.Waker
 
+	// freeHook is the core's parking hook (cpu.MemPort), called on every MSHR
+	// release: both refusals in Access clear only there.
+	freeHook func()
+
 	Stats Stats
 }
 
@@ -131,6 +135,12 @@ func (l *L1) find(block mem.PAddr) *l1Line {
 // SetWaker implements sim.WakeSetter.
 func (l *L1) SetWaker(w *sim.Waker) { l.waker = w }
 
+// SetFreeHook implements cpu.MemPort.
+func (l *L1) SetFreeHook(free func()) { l.freeHook = free }
+
+// Refused implements cpu.MemPort: the L1 keeps no refusal counter.
+func (l *L1) Refused(uint64) {}
+
 // MSHRsInUse reports outstanding misses.
 func (l *L1) MSHRsInUse() int { return len(l.mshrs) }
 
@@ -151,7 +161,8 @@ func (l *L1) Busy() bool {
 
 // Access performs a load (write=false) or store (write=true) at addr. done
 // fires when the access completes. It reports false when the access cannot
-// be accepted this cycle (MSHR pressure); the core retries.
+// be accepted this cycle (MSHR pressure); the core retries once an MSHR is
+// released.
 func (l *L1) Access(addr mem.PAddr, write bool, cycle uint64, done func(cycle uint64)) bool {
 	l.waker.Wake()
 	block := mem.BlockAlign(addr)
@@ -215,6 +226,9 @@ func (l *L1) releaseMSHR(ms *l1MSHR) {
 	ms.waiters = ms.waiters[:0]
 	ms.sent = false
 	l.mshrFree = append(l.mshrFree, ms) //ar:exempt(hotpath) free list reaches steady-state capacity; append stops growing after warm-up
+	if l.freeHook != nil {
+		l.freeHook()
+	}
 }
 
 func (l *L1) trySendMiss(ms *l1MSHR) {

@@ -47,16 +47,29 @@ func DefaultConfig() Config {
 }
 
 // MemPort is the core's load/store path into its L1.
+//
+// Refusal parking (DESIGN.md "The idle/wake protocol"): a core whose
+// pending instruction a port refused stops retrying it every cycle and
+// parks until the port calls the hook installed by SetFreeHook; the port
+// must call it on every change that can turn the refusal into acceptance.
+// Refused(n) credits the n retries a parked core skipped to whatever
+// refusal counter the port keeps, so the port's statistics match a core
+// that retried every cycle. A port serves one core.
 type MemPort interface {
 	Access(addr mem.PAddr, write bool, cycle uint64, done func(cycle uint64)) bool
+	SetFreeHook(free func())
+	Refused(n uint64)
 }
 
 // OffloadPort is the core's Message Interface for the Update/Gather ISA
 // extension (§3.1.2). Update is fire-and-forget once accepted; Gather's
-// wake callback releases the issuing thread's fence.
+// wake callback releases the issuing thread's fence. SetFreeHook and
+// Refused follow the MemPort parking contract.
 type OffloadPort interface {
 	Update(cmd core.UpdateCmd, cycle uint64) bool
 	Gather(cmd core.GatherCmd, cycle uint64) bool
+	SetFreeHook(free func())
+	Refused(n uint64)
 }
 
 // Stats counts per-core activity.
@@ -138,6 +151,12 @@ type Core struct {
 	lastSeen   uint64
 	skipReason skipReason
 
+	// parkedOn is the stall the pending instruction is parked on (skipNone
+	// when not parked). A port refusal parks the core; the port's free
+	// hook unparks it. Parking state is not snapshot state: a restored
+	// core starts unparked and retries.
+	parkedOn skipReason
+
 	Stats Stats
 	IPC   *stats.IPCSeries
 }
@@ -161,6 +180,9 @@ const (
 	skipNone skipReason = iota
 	skipFence
 	skipROBFull
+	// Parking reasons: never encoded in a snapshot (see SettleParking).
+	skipMemStall
+	skipOffloadStall
 )
 
 // NewCore builds core id over the given stream and ports. barrier may be
@@ -172,7 +194,7 @@ func NewCore(id int, cfg Config, stream isa.Stream, memPort MemPort, offload Off
 		robCap <<= 1
 	}
 	ptrStream, _ := stream.(isa.PtrStream)
-	return &Core{
+	c := &Core{
 		ID:        id,
 		cfg:       cfg,
 		stream:    stream,
@@ -185,6 +207,21 @@ func NewCore(id int, cfg Config, stream isa.Stream, memPort MemPort, offload Off
 		as:        as,
 		barrier:   barrier,
 		IPC:       stats.NewIPCSeries(1 << 14),
+	}
+	memPort.SetFreeHook(c.unpark)
+	if offload != nil {
+		offload.SetFreeHook(c.unpark)
+	}
+	return c
+}
+
+// unpark is the free hook the core installs in its ports: the
+// refusal the core is parked on may have cleared, so it retries at its
+// next slot in the tick order.
+func (c *Core) unpark() {
+	if c.parkedOn != skipNone {
+		c.parkedOn = skipNone
+		c.waker.Wake()
 	}
 }
 
@@ -207,11 +244,12 @@ func (c *Core) Finished() bool {
 
 // NextWork implements sim.Idler. The core must tick whenever it can retire,
 // fire a timed completion, or dispatch; it is quiescent while fenced, while
-// the ROB is full with an incomplete head, or once its stream is drained.
-// In the first two states the lockstep kernel's Tick would bump a per-cycle
-// stall counter and nothing else, so skipping credits that counter here
-// (and catchUp back-fills stretches the engine jumped over entirely),
-// keeping the stall statistics bit-identical.
+// the ROB is full with an incomplete head, while its pending instruction is
+// parked on a refusing port, or once its stream is drained. In the first
+// three states the lockstep kernel's Tick would bump a per-cycle stall
+// counter and nothing else, so skipping credits that counter here (and
+// catchUp back-fills stretches the engine did not poll), keeping the stall
+// statistics bit-identical.
 func (c *Core) NextWork(now uint64) uint64 {
 	c.catchUp(now)
 	if len(c.calls) > 0 {
@@ -224,37 +262,52 @@ func (c *Core) NextWork(now uint64) uint64 {
 	if c.robLen() > 0 && c.rob[c.robHead&c.robMask].done {
 		return now // retirement can progress
 	}
-	if c.fenced {
+	switch {
+	case c.fenced:
 		c.skipReason = skipFence
-		c.Stats.FenceCycles++
-		return sim.Never
-	}
-	if c.robLen() >= c.cfg.ROBSize {
+	case c.robLen() >= c.cfg.ROBSize:
 		c.skipReason = skipROBFull
-		c.Stats.ROBFullCycles++
-		return sim.Never
-	}
-	if c.exhausted && !c.hasPending {
+	case c.parkedOn != skipNone:
+		// The port that refused the pending instruction has not freed
+		// since: Tick would only retry and be refused again.
+		c.skipReason = c.parkedOn
+	case c.exhausted && !c.hasPending:
 		// Stream drained, ROB waiting on in-flight memory: nothing to do.
 		c.skipReason = skipNone
 		return sim.Never
+	default:
+		return now // dispatch can make (or at least attempt) progress
 	}
-	return now // dispatch can make (or at least attempt) progress
+	c.credit(c.skipReason, 1)
+	return sim.Never
 }
 
-// catchUp credits cycles the engine jumped over (no NextWork evaluation at
-// all) to the stall counter recorded when the core last quiesced. A jump
-// freezes the whole machine, so every jumped cycle had that same state.
+// catchUp credits cycles the engine did not poll the core for (a jump over
+// a quiescent machine, or a cached Never while parked) to the stall counter
+// recorded when the core last quiesced: every such cycle had that state,
+// since any change to it wakes the core.
 func (c *Core) catchUp(now uint64) {
 	if gap := now - c.lastSeen; gap > 1 {
-		switch c.skipReason {
-		case skipFence:
-			c.Stats.FenceCycles += gap - 1
-		case skipROBFull:
-			c.Stats.ROBFullCycles += gap - 1
-		}
+		c.credit(c.skipReason, gap-1)
 	}
 	c.lastSeen = now
+}
+
+// credit adds n skipped cycles to the stall counter of reason r, and for a
+// parked refusal to the refusing port's own counter.
+func (c *Core) credit(r skipReason, n uint64) {
+	switch r {
+	case skipFence:
+		c.Stats.FenceCycles += n
+	case skipROBFull:
+		c.Stats.ROBFullCycles += n
+	case skipMemStall:
+		c.Stats.MemStalls += n
+		c.mem.Refused(n)
+	case skipOffloadStall:
+		c.Stats.OffloadStalls += n
+		c.offload.Refused(n)
+	}
 }
 
 // Tick advances the core one cycle: retire, then dispatch.
@@ -426,6 +479,7 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 		}
 		if !c.mem.Access(pa, write, cycle, e.memDone) {
 			c.Stats.MemStalls++
+			c.parkedOn = skipMemStall
 			return false
 		}
 		c.applyEffect(in)
@@ -449,7 +503,7 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 			cmd.Src2 = c.as.Translate(in.Src2)
 		}
 		if !c.offload.Update(cmd, cycle) {
-			c.Stats.OffloadStalls++
+			c.refusedOffload()
 			return false
 		}
 		e.done = true // fire-and-forget (§3.3: offload overlaps processing)
@@ -469,7 +523,7 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 			Wake:     e.gatherWake,
 		}
 		if !c.offload.Gather(cmd, cycle) {
-			c.Stats.OffloadStalls++
+			c.refusedOffload()
 			return false
 		}
 		// Gather is a thread fence: later updates of a dependent flow must
@@ -502,6 +556,12 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 	}
 	c.robTail++
 	return true
+}
+
+// refusedOffload counts a refused Update/Gather and parks on the port.
+func (c *Core) refusedOffload() {
+	c.Stats.OffloadStalls++
+	c.parkedOn = skipOffloadStall
 }
 
 // effect is one staged global side effect of a core's dispatch.

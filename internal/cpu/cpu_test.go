@@ -31,6 +31,10 @@ func (m *instantMem) Access(addr mem.PAddr, write bool, cycle uint64, done func(
 	return true
 }
 
+func (m *instantMem) SetFreeHook(func()) {}
+
+func (m *instantMem) Refused(uint64) {}
+
 func (m *instantMem) tick(cycle uint64) {
 	kept := m.pending[:0]
 	for _, p := range m.pending {
@@ -43,15 +47,20 @@ func (m *instantMem) tick(cycle uint64) {
 	m.pending = kept
 }
 
-// mockOffload accepts offloads and records them.
+// mockOffload accepts offloads and records them. refusals counts every
+// refused offload, retried or credited by a parked core, and release lifts
+// a refusal through the core's free hook.
 type mockOffload struct {
-	updates []core.UpdateCmd
-	gathers []core.GatherCmd
-	refuse  bool
+	updates  []core.UpdateCmd
+	gathers  []core.GatherCmd
+	refuse   bool
+	refusals uint64
+	freeHook func()
 }
 
 func (o *mockOffload) Update(cmd core.UpdateCmd, cycle uint64) bool {
 	if o.refuse {
+		o.refusals++
 		return false
 	}
 	o.updates = append(o.updates, cmd)
@@ -60,10 +69,22 @@ func (o *mockOffload) Update(cmd core.UpdateCmd, cycle uint64) bool {
 
 func (o *mockOffload) Gather(cmd core.GatherCmd, cycle uint64) bool {
 	if o.refuse {
+		o.refusals++
 		return false
 	}
 	o.gathers = append(o.gathers, cmd)
 	return true
+}
+
+func (o *mockOffload) SetFreeHook(free func()) { o.freeHook = free }
+
+func (o *mockOffload) Refused(n uint64) { o.refusals += n }
+
+func (o *mockOffload) release() {
+	o.refuse = false
+	if o.freeHook != nil {
+		o.freeHook()
+	}
 }
 
 func env() (*mem.Store, *mem.AddrSpace) {

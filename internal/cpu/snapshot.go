@@ -17,7 +17,7 @@ const (
 )
 
 // seekable is the stream capability checkpointing needs: every workload
-// stream is an isa.SliceStream over a pre-built trace, so the replay
+// stream is an isa.ReplayStream over a pre-built trace, so the replay
 // cursor is the stream's whole state.
 type seekable interface {
 	Pos() int
@@ -43,7 +43,26 @@ func (c *Core) Snapshotable() bool {
 	if c.fenced {
 		pend--
 	}
-	return pend == len(c.calls)
+	// A parked core waits on a busy port, which the system-level predicate
+	// rules out; parking state is never captured.
+	return pend == len(c.calls) && c.parkedOn == skipNone
+}
+
+// SettleParking prepares the core for a snapshot at cycle boundary now
+// (cycle now not yet run). A core unparked by its port's free hook may
+// still owe the stall credit for the cycles it skipped while parked; this
+// credits them and clears the parking skip reason, so a snapshot encodes
+// only the skip reasons the format has always had and the restored core —
+// which starts unparked — resumes with its counters complete.
+func (c *Core) SettleParking(now uint64) {
+	if c.skipReason != skipMemStall && c.skipReason != skipOffloadStall {
+		return
+	}
+	if now > c.lastSeen+1 {
+		c.credit(c.skipReason, now-c.lastSeen-1)
+		c.lastSeen = now - 1
+	}
+	c.skipReason = skipNone
 }
 
 func encInst(e *sim.Enc, in *isa.Inst) {
@@ -178,6 +197,9 @@ func (c *Core) Restore(d *sim.Dec) {
 	c.fenceTarget = mem.PAddr(d.U64())
 	c.lastSeen = d.U64()
 	c.skipReason = skipReason(d.U32())
+	if c.skipReason > skipROBFull {
+		d.Fail("core %d skip reason %d is not snapshot state", c.ID, c.skipReason)
+	}
 	st := &c.Stats
 	for _, p := range []*uint64{&st.Retired, &st.Loads, &st.Stores, &st.Updates, &st.Gathers,
 		&st.Computes, &st.Barriers, &st.ROBFullCycles, &st.OffloadStalls, &st.MemStalls,

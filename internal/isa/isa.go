@@ -205,39 +205,90 @@ type Stream interface {
 	Next() (Inst, bool)
 }
 
-// SliceStream replays a pre-built instruction slice.
-type SliceStream struct {
-	insts []Inst
-	pos   int
+// ReplayStream replays a pre-built instruction trace stored as a list of
+// chunks. The chunks are read in place — a workload trace is appended into
+// chunks that never move (workload.Trace), so building it copies no
+// instruction twice and replaying it copies none.
+type ReplayStream struct {
+	chunks [][]Inst
+	cur    []Inst // chunks[next-1], the chunk being replayed
+	next   int    // index of the chunk after cur
+	off    int    // replay offset within cur
+	base   int    // instructions in the chunks before cur
+	n      int    // total instruction count
 }
 
-// NewSliceStream wraps insts.
-func NewSliceStream(insts []Inst) *SliceStream { return &SliceStream{insts: insts} }
+// NewReplayStream replays the concatenation of chunks. The stream reads the
+// chunks in place; the caller must not modify them while it is in use.
+func NewReplayStream(chunks [][]Inst) *ReplayStream {
+	s := &ReplayStream{chunks: chunks}
+	for _, c := range chunks {
+		s.n += len(c)
+	}
+	return s
+}
+
+// NewSliceStream replays insts: the one-chunk ReplayStream.
+func NewSliceStream(insts []Inst) *ReplayStream {
+	return NewReplayStream([][]Inst{insts})
+}
+
+// advance moves to the next non-empty chunk, reporting false at the end.
+func (s *ReplayStream) advance() bool {
+	for s.off >= len(s.cur) {
+		if s.next >= len(s.chunks) {
+			return false
+		}
+		s.base += len(s.cur)
+		s.cur = s.chunks[s.next]
+		s.next++
+		s.off = 0
+	}
+	return true
+}
 
 // Next implements Stream.
-func (s *SliceStream) Next() (Inst, bool) {
-	if s.pos >= len(s.insts) {
-		return Inst{}, false
+func (s *ReplayStream) Next() (Inst, bool) {
+	if in, ok := s.NextPtr(); ok {
+		return *in, true
 	}
-	i := s.insts[s.pos]
-	s.pos++
-	return i, true
+	return Inst{}, false
+}
+
+// NextPtr implements PtrStream. The pointee stays valid for the stream's
+// lifetime, since the chunks never move.
+func (s *ReplayStream) NextPtr() (*Inst, bool) {
+	if s.off >= len(s.cur) && !s.advance() {
+		return nil, false
+	}
+	in := &s.cur[s.off]
+	s.off++
+	return in, true
 }
 
 // Pos reports how many instructions have been consumed (the replay
 // cursor), for checkpointing.
-func (s *SliceStream) Pos() int { return s.pos }
+func (s *ReplayStream) Pos() int { return s.base + s.off }
 
 // Len reports the total instruction count.
-func (s *SliceStream) Len() int { return len(s.insts) }
+func (s *ReplayStream) Len() int { return s.n }
 
 // SetPos moves the replay cursor (restore path). It panics on an
 // out-of-range position; snapshot decoders validate against Len first.
-func (s *SliceStream) SetPos(pos int) {
-	if pos < 0 || pos > len(s.insts) {
-		panic("isa: SliceStream position out of range")
+func (s *ReplayStream) SetPos(pos int) {
+	if pos < 0 || pos > s.n {
+		panic("isa: ReplayStream position out of range")
 	}
-	s.pos = pos
+	s.cur, s.next, s.base = nil, 0, 0
+	for s.next < len(s.chunks) {
+		s.base += len(s.cur)
+		s.cur = s.chunks[s.next]
+		s.next++
+		if pos-s.base <= len(s.cur) {
+			break // pos lies in cur, or at its end
+		}
+	}
+	s.off = pos - s.base
 }
 
 // PtrStream is an optional Stream extension that hands out a pointer to the
@@ -248,16 +299,6 @@ func (s *SliceStream) SetPos(pos int) {
 // instruction on its hottest path.
 type PtrStream interface {
 	NextPtr() (*Inst, bool)
-}
-
-// NextPtr implements PtrStream.
-func (s *SliceStream) NextPtr() (*Inst, bool) {
-	if s.pos >= len(s.insts) {
-		return nil, false
-	}
-	i := &s.insts[s.pos]
-	s.pos++
-	return i, true
 }
 
 // FuncStream adapts a generator function to Stream.

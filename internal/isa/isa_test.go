@@ -127,6 +127,62 @@ func TestSliceStream(t *testing.T) {
 	}
 }
 
+// TestReplayStreamChunks replays a chunked trace (empty chunks included)
+// and checks that the cursor round-trips through SetPos at every position,
+// chunk boundaries and both ends included.
+func TestReplayStreamChunks(t *testing.T) {
+	var chunks [][]Inst
+	n := 0
+	for _, size := range []int{0, 3, 1, 0, 0, 4, 2, 0} {
+		c := make([]Inst, size)
+		for i := range c {
+			c[i].Count = n
+			n++
+		}
+		chunks = append(chunks, c)
+	}
+	s := NewReplayStream(chunks)
+	if s.Len() != n {
+		t.Fatalf("Len = %d, want %d", s.Len(), n)
+	}
+	for want := 0; want < n; want++ {
+		if s.Pos() != want {
+			t.Fatalf("Pos = %d, want %d", s.Pos(), want)
+		}
+		in, ok := s.NextPtr()
+		if !ok || in.Count != want {
+			t.Fatalf("inst %d: got %+v, %v", want, in, ok)
+		}
+	}
+	if _, ok := s.Next(); ok || s.Pos() != n {
+		t.Fatalf("stream should be exhausted at %d, Pos = %d", n, s.Pos())
+	}
+	for pos := 0; pos <= n; pos++ {
+		s.SetPos(pos)
+		if s.Pos() != pos {
+			t.Fatalf("SetPos(%d): Pos = %d", pos, s.Pos())
+		}
+		for want := pos; want < n; want++ {
+			if in, ok := s.Next(); !ok || in.Count != want {
+				t.Fatalf("after SetPos(%d): inst %d = %+v, %v", pos, want, in, ok)
+			}
+		}
+		if _, ok := s.Next(); ok {
+			t.Fatalf("after SetPos(%d): stream should be exhausted", pos)
+		}
+	}
+	for _, bad := range []int{-1, n + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("SetPos(%d) should panic", bad)
+				}
+			}()
+			s.SetPos(bad)
+		}()
+	}
+}
+
 func TestChainStream(t *testing.T) {
 	c := NewChainStream(
 		NewSliceStream([]Inst{{Kind: KindLoad}}),

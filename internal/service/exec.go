@@ -65,9 +65,9 @@ type Local struct {
 func (l *Local) Ready() bool { return true }
 
 // Execute runs one normalized job under the shared budget. Auto kernel
-// knobs resolve against the budget's free capacity at this moment: a busy
-// process prefers run-level parallelism (fewer shards per job), an idle one
-// gives the job the machine. The job then acquires exactly the worker count
+// knobs resolve at this moment (system.ResolveKernel): auto shards mean the
+// sequential kernel, and auto workers of a sharded job are capped by the
+// budget's free capacity. The job then acquires exactly the worker count
 // its resolved kernel will occupy — weighted by the post-clamp pool size,
 // not the declared knobs, so a 4-shard job on a 2-thread host holds 2
 // slots, not 4.

@@ -84,11 +84,11 @@ type Options struct {
 	Shards int
 	// SimShards, when non-zero, runs jobs that did not pin a kernel on the
 	// sharded simulation kernel with this shard count; system.KernelAuto
-	// (-1) resolves per job from topology, GOMAXPROCS and the budget's free
-	// capacity at acquisition time — the daemon trades intra-run for
-	// run-level parallelism as load changes. Results are bit-identical
-	// either way (the config hash ignores the kernel choice), and each such
-	// job accounts for its resolved worker count against the shared budget.
+	// (-1) resolves per job at acquisition time (system.ResolveKernel,
+	// currently always the sequential kernel). Results are bit-identical
+	// either way (the config hash ignores the kernel choice), and each
+	// sharded job accounts for its resolved worker count against the
+	// shared budget.
 	SimShards int
 	// Store, when non-nil, is the durable result store: every record it
 	// holds at construction warm-loads into the cache (a restarted daemon

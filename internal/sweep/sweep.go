@@ -62,8 +62,8 @@ type Grid struct {
 	Workers int
 	// SimShards selects the simulation kernel for every grid point that no
 	// axis pins: 0 (default) keeps the sequential kernel,
-	// system.KernelAuto resolves per point against the budget capacity,
-	// positive values force that shard count. Results are bit-identical in
+	// system.KernelAuto resolves per point (system.ResolveKernel, currently
+	// the sequential kernel), positive values force that shard count. Results are bit-identical in
 	// every case — the kernel choice is outside the config hash — so this
 	// only trades intra-point against run-level parallelism.
 	SimShards int

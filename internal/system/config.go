@@ -159,56 +159,46 @@ type Config struct {
 	// is partitioned into Shards tile groups plus Shards cube groups that
 	// tick on a worker pool with bit-identical results to the sequential
 	// kernel (DESIGN.md "Sharded kernel"). 0 (the default) runs the
-	// sequential kernel; KernelAuto (-1) resolves from topology and host
-	// occupancy at New time (ResolveKernel). Shards and Workers never
-	// change simulated results and are excluded from Hash.
+	// sequential kernel, and so does KernelAuto (-1), resolved at New time
+	// (ResolveKernel). Shards and Workers never change simulated results
+	// and are excluded from Hash.
 	//ar:exempt(hash) kernel choice is result-invariant (pinned by the sharded determinism tests); one cache entry serves every kernel
 	Shards int
 	// Workers bounds the sharded kernel's OS-thread pool; 0 defaults to
-	// Shards, KernelAuto (-1) resolves alongside Shards. Ignored when
-	// Shards is 0.
+	// Shards, KernelAuto (-1) tracks GOMAXPROCS and the free worker slots
+	// (ResolveKernel). Ignored when Shards is 0.
 	//ar:exempt(hash) worker-pool width is result-invariant, same contract as Shards
 	Workers int
 }
 
 // KernelAuto, assigned to Config.Shards or Config.Workers, asks the host to
-// pick the kernel and pool size from topology, GOMAXPROCS, and — in the
-// service — the worker budget's free capacity (ResolveKernel). Resolution
+// pick the kernel and pool size (ResolveKernel): auto shards mean the
+// sequential kernel, and auto workers with explicit shards track GOMAXPROCS
+// and — in the service — the worker budget's free capacity. Resolution
 // happens outside the config hash, like every Shards/Workers choice.
 const KernelAuto = -1
 
 // ResolveKernel replaces KernelAuto in cfg.Shards/cfg.Workers with concrete
-// values. slots bounds the CPUs this run should occupy (the caller's free
-// worker-budget share; <= 0 means unconstrained) and is combined with
-// GOMAXPROCS. With one available CPU the sequential kernel wins (the
-// sharded kernel's single-worker mode is close, but never ahead); otherwise
-// shards track the usable CPUs, capped by the tile-group limit and the
-// topology (computePlan clamps to Threads, mirrored here so Workers lands
-// on the resolved shard count).
+// values. Auto shards resolve to the sequential kernel: on every host
+// measured so far the sharded kernel ran slower than the sequential one
+// (1.6–3× on 2 CPUs), and running separate simulations in parallel through
+// the worker budget beats intra-run sharding on throughput (DESIGN.md
+// "Scheduling: fusion, elision, adaptive waiting, auto-tuning"). Auto
+// workers with concrete shards track the usable CPUs: slots bounds the CPUs
+// this run should occupy (the caller's free worker-budget share; <= 0
+// means unconstrained) and is combined with GOMAXPROCS and the shard count.
 func ResolveKernel(cfg *Config, slots int) {
-	avail := runtime.GOMAXPROCS(0)
-	if slots > 0 && slots < avail {
-		avail = slots
-	}
 	if cfg.Shards == KernelAuto {
-		if avail <= 1 {
-			cfg.Shards = 0
-		} else {
-			s := avail
-			if s > cfg.Threads {
-				s = cfg.Threads
-			}
-			if s > 16 {
-				s = 16
-			}
-			cfg.Shards = s
-		}
+		cfg.Shards = 0
 	}
 	if cfg.Workers == KernelAuto {
 		if cfg.Shards <= 0 {
 			cfg.Workers = 0
 		} else {
-			w := avail
+			w := runtime.GOMAXPROCS(0)
+			if slots > 0 && slots < w {
+				w = slots
+			}
 			if w > cfg.Shards {
 				w = cfg.Shards
 			}

@@ -140,10 +140,11 @@ func TestConfigHashKernelInvariant(t *testing.T) {
 	}
 }
 
-// TestResolveKernelAuto pins the auto-tune resolution rules: one available
-// CPU picks the sequential kernel; more pick shards = min(avail, Threads,
-// 16) with workers matching; concrete values pass through untouched; the
-// slots bound (free budget capacity) caps availability below GOMAXPROCS.
+// TestResolveKernelAuto pins the auto-tune resolution rules: auto shards
+// pick the sequential kernel whatever the host offers (the sharded kernel
+// has not won on any measured host); concrete values pass through
+// untouched; auto workers with concrete shards track GOMAXPROCS, capped by
+// the slots bound (free budget capacity) and the shard count.
 func TestResolveKernelAuto(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 
@@ -153,36 +154,17 @@ func TestResolveKernelAuto(t *testing.T) {
 		t.Fatalf("auto knobs must validate: %v", err)
 	}
 
-	// slots=1: sequential.
-	c := cfg
-	ResolveKernel(&c, 1)
-	if c.Shards != 0 || c.Workers != 0 {
-		t.Fatalf("slots=1: resolved to Shards=%d Workers=%d, want sequential", c.Shards, c.Workers)
-	}
-
-	// slots=4 on an 8-proc host: 4 shards, 4 workers.
-	c = cfg
-	ResolveKernel(&c, 4)
-	if c.Shards != 4 || c.Workers != 4 {
-		t.Fatalf("slots=4: resolved to Shards=%d Workers=%d, want 4/4", c.Shards, c.Workers)
-	}
-
-	// Unconstrained: bounded by GOMAXPROCS and the topology.
-	c = cfg
-	ResolveKernel(&c, 0)
-	want := 8
-	if cfg.Threads < want {
-		want = cfg.Threads
-	}
-	if want > 16 {
-		want = 16
-	}
-	if c.Shards != want || c.Workers != want {
-		t.Fatalf("unconstrained: resolved to Shards=%d Workers=%d, want %d/%d", c.Shards, c.Workers, want, want)
+	// Auto shards: sequential at any slot bound on an 8-proc host.
+	for _, slots := range []int{0, 1, 4} {
+		c := cfg
+		ResolveKernel(&c, slots)
+		if c.Shards != 0 || c.Workers != 0 {
+			t.Fatalf("slots=%d: resolved to Shards=%d Workers=%d, want sequential", slots, c.Shards, c.Workers)
+		}
 	}
 
 	// Concrete values pass through.
-	c = cfg
+	c := cfg
 	c.Shards, c.Workers = 2, 1
 	ResolveKernel(&c, 0)
 	if c.Shards != 2 || c.Workers != 1 {
@@ -196,6 +178,12 @@ func TestResolveKernelAuto(t *testing.T) {
 	if c.Shards != 3 || c.Workers != 2 {
 		t.Fatalf("auto workers: Shards=%d Workers=%d, want 3/2", c.Shards, c.Workers)
 	}
+	c = cfg
+	c.Shards, c.Workers = 4, KernelAuto
+	ResolveKernel(&c, 0)
+	if c.Shards != 4 || c.Workers != 4 {
+		t.Fatalf("auto workers, unconstrained: Shards=%d Workers=%d, want 4/4", c.Shards, c.Workers)
+	}
 }
 
 // TestResolvedWorkers pins the budget weight: the post-clamp pool size the
@@ -206,11 +194,11 @@ func TestResolvedWorkers(t *testing.T) {
 	cases := []struct {
 		shards, workers, want int
 	}{
-		{0, 0, 1},            // sequential
-		{4, 0, 4},            // workers default to shards
-		{4, 2, 2},            // explicit worker bound
-		{8, 16, 8},           // workers clamp to shards
-		{KernelAuto, KernelAuto, 8}, // auto on an 8-proc host
+		{0, 0, 1},                   // sequential
+		{4, 0, 4},                   // workers default to shards
+		{4, 2, 2},                   // explicit worker bound
+		{8, 16, 8},                  // workers clamp to shards
+		{KernelAuto, KernelAuto, 1}, // auto resolves to sequential
 	}
 	for _, tc := range cases {
 		c := cfg

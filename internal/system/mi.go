@@ -34,6 +34,9 @@ type MessageInterface struct {
 	// waker invalidates the engine's cached idle hint on external input
 	// (Update/Gather from the core, OnBackInvalDone from the directory).
 	waker *sim.Waker
+	// freeHook is the core's parking hook (cpu.OffloadPort), called on every queue
+	// pop: a full queue is the only refusal.
+	freeHook func()
 
 	// Stats.
 	QueriesSent  uint64
@@ -96,6 +99,12 @@ var _ cpu.OffloadPort = (*MessageInterface)(nil)
 
 // SetWaker implements sim.WakeSetter.
 func (mi *MessageInterface) SetWaker(w *sim.Waker) { mi.waker = w }
+
+// SetFreeHook implements cpu.OffloadPort.
+func (mi *MessageInterface) SetFreeHook(free func()) { mi.freeHook = free }
+
+// Refused implements cpu.OffloadPort: n refusals the parked core skipped.
+func (mi *MessageInterface) Refused(n uint64) { mi.QueueFullRej += n }
 
 // Update implements cpu.OffloadPort; false stalls the core (offload
 // backpressure).
@@ -263,6 +272,9 @@ func (mi *MessageInterface) TickDrain(cycle uint64) {
 			}
 		}
 		mi.free = append(mi.free, e) //ar:exempt(hotpath) free list reaches steady-state capacity; append stops growing after warm-up
+		if mi.freeHook != nil {
+			mi.freeHook()
+		}
 	}
 }
 

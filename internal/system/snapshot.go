@@ -132,6 +132,7 @@ func (s *System) Snapshot(buf []byte) []byte {
 	}
 	e.U64(s.barrier.Crossings)
 	for _, c := range s.cores {
+		c.SettleParking(cycle)
 		c.Snapshot(e)
 	}
 	for _, l1 := range s.l1s {

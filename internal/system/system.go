@@ -724,6 +724,16 @@ func (s *System) SchedCounters() (sim.SchedCounters, bool) {
 	return s.cond.Counters(), true
 }
 
+// CoreStats returns a copy of every core's counters in core order (tests
+// and tooling: Results.CoreStats sums only a subset of them).
+func (s *System) CoreStats() []cpu.Stats {
+	out := make([]cpu.Stats, len(s.cores))
+	for i, c := range s.cores {
+		out[i] = c.Stats
+	}
+	return out
+}
+
 // Env exposes the workload environment (tests).
 func (s *System) Env() *workload.Env { return s.env }
 

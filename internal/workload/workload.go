@@ -166,32 +166,40 @@ func (a F64Array) Get(i int) float64 {
 	return a.env.Store.ReadF64(a.env.AS.Translate(a.At(i)))
 }
 
-// Trace builds one thread's instruction slice.
+// Trace builds one thread's instruction stream. Instructions are appended
+// into chunks that never move: each chunk is allocated once at its final
+// capacity, the first at traceChunkMin instructions and each next one
+// double its predecessor up to traceChunkMax. Building a trace therefore
+// copies no instruction twice, wastes at most one partly filled chunk, and
+// a trace that fits the first chunk allocates what a single slice would.
 type Trace struct {
-	insts []isa.Inst
+	chunks [][]isa.Inst // the last chunk is the one being filled
+	n      int
 }
 
-// Insts returns the built instructions.
-func (t *Trace) Insts() []isa.Inst { return t.insts }
+// Trace chunk sizes, in instructions.
+const (
+	traceChunkMin = 1 << 10
+	traceChunkMax = 1 << 12
+)
 
-// Stream wraps the trace as an isa.Stream.
-func (t *Trace) Stream() isa.Stream { return isa.NewSliceStream(t.insts) }
+// Stream replays the trace in place as an isa.Stream.
+func (t *Trace) Stream() isa.Stream { return isa.NewReplayStream(t.chunks) }
 
-// push appends one instruction, growing the backing array by strict
-// doubling. The runtime's growth factor decays toward 1.25x for large
-// slices, which re-copies a multi-hundred-MB trace several times over;
-// doubling bounds total copy work at one trace length.
+// push appends one instruction, opening the next chunk when the last one
+// is full.
 func (t *Trace) push(in isa.Inst) {
-	if len(t.insts) == cap(t.insts) {
-		newCap := 2 * cap(t.insts)
-		if newCap < 1024 {
-			newCap = 1024
+	last := len(t.chunks) - 1
+	if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
+		size := traceChunkMin
+		if last >= 0 {
+			size = min(2*cap(t.chunks[last]), traceChunkMax)
 		}
-		nb := make([]isa.Inst, len(t.insts), newCap)
-		copy(nb, t.insts)
-		t.insts = nb
+		t.chunks = append(t.chunks, make([]isa.Inst, 0, size))
+		last++
 	}
-	t.insts = append(t.insts, in)
+	t.chunks[last] = append(t.chunks[last], in)
+	t.n++
 }
 
 // Ld emits a load from va.
@@ -257,7 +265,7 @@ func (t *Trace) Barrier() {
 }
 
 // Len reports the number of emitted instructions.
-func (t *Trace) Len() int { return len(t.insts) }
+func (t *Trace) Len() int { return t.n }
 
 // streamsOf converts traces to streams.
 func streamsOf(traces []*Trace) []isa.Stream {

@@ -222,10 +222,45 @@ func TestTraceEmitters(t *testing.T) {
 		isa.KindCompute, isa.KindUpdate, isa.KindUpdate, isa.KindUpdate,
 		isa.KindGather, isa.KindAtomicAdd, isa.KindBarrier,
 	}
-	for i, in := range tr.Insts() {
-		if in.Kind != kinds[i] {
-			t.Fatalf("inst %d kind = %s, want %s", i, in.Kind, kinds[i])
+	s := tr.Stream()
+	for i, want := range kinds {
+		if in, ok := s.Next(); !ok || in.Kind != want {
+			t.Fatalf("inst %d = %s (ok=%v), want %s", i, in.Kind, ok, want)
 		}
+	}
+	if _, ok := s.Next(); ok {
+		t.Fatal("stream longer than the trace")
+	}
+}
+
+// TestTraceChunks builds a trace across several chunk boundaries and checks
+// the chunk sizes grow from traceChunkMin to traceChunkMax and that the
+// stream replays every instruction in order.
+func TestTraceChunks(t *testing.T) {
+	tr := &Trace{}
+	n := 3*traceChunkMax + 5
+	for i := 0; i < n; i++ {
+		tr.St(mem.VAddr(8*i), float64(i))
+	}
+	if tr.Len() != n {
+		t.Fatalf("Len = %d, want %d", tr.Len(), n)
+	}
+	want := traceChunkMin
+	for i, c := range tr.chunks {
+		if cap(c) != want {
+			t.Fatalf("chunk %d capacity = %d, want %d", i, cap(c), want)
+		}
+		want = min(2*want, traceChunkMax)
+	}
+	s := tr.Stream()
+	for i := 0; i < n; i++ {
+		in, ok := s.Next()
+		if !ok || in.Value != float64(i) {
+			t.Fatalf("inst %d = %+v (ok=%v)", i, in, ok)
+		}
+	}
+	if _, ok := s.Next(); ok {
+		t.Fatal("stream longer than the trace")
 	}
 }
 
