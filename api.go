@@ -81,17 +81,6 @@ type Config = system.Config
 // DefaultConfig returns the evaluation machine for a scheme.
 func DefaultConfig(s Scheme) Config { return system.DefaultConfig(s) }
 
-// KernelAuto, assigned to Config.Shards or Config.Workers, lets the host
-// pick the simulation kernel and its worker-pool size at build time
-// (system.ResolveKernel): auto shards pick the sequential kernel, auto
-// workers of an explicit shard count track host occupancy. Results are
-// bit-identical for every kernel choice.
-const KernelAuto = system.KernelAuto
-
-// ParseKernel parses a -shards / -workers style flag value: "auto" selects
-// KernelAuto, anything else must be a non-negative integer.
-func ParseKernel(s string) (int, error) { return system.ParseKernel(s) }
-
 // Results carries a run's measurements: cycles, IPC, the Fig 5.2 latency
 // breakdown, Fig 5.3 heatmaps, Fig 5.4 data movement, and the Fig 5.5-5.7
 // energy model outputs.

@@ -25,34 +25,20 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/sim"
 	"repro/internal/system"
 	"repro/internal/workload"
 )
 
 type runner struct {
-	scale   workload.Scale
-	out     io.Writer
-	shards  int
-	workers int
-	bench   *experiments.Suite // benchmark suite cache
-	micro   *experiments.Suite // microbenchmark suite cache
-}
-
-// configure applies the kernel flags to every suite run (results are
-// bit-identical for any value; this only selects the execution strategy).
-func (r *runner) configure() experiments.Configure {
-	if r.shards == 0 {
-		return nil
-	}
-	return func(cfg *system.Config) {
-		cfg.Shards, cfg.Workers = r.shards, r.workers
-	}
+	scale workload.Scale
+	out   io.Writer
+	bench *experiments.Suite // benchmark suite cache
+	micro *experiments.Suite // microbenchmark suite cache
 }
 
 func (r *runner) benchSuite() (*experiments.Suite, error) {
 	if r.bench == nil {
-		s, err := experiments.RunSuite(r.scale, workload.Benchmarks(), system.Schemes(), r.configure())
+		s, err := experiments.RunSuite(r.scale, workload.Benchmarks(), system.Schemes(), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +49,7 @@ func (r *runner) benchSuite() (*experiments.Suite, error) {
 
 func (r *runner) microSuite() (*experiments.Suite, error) {
 	if r.micro == nil {
-		s, err := experiments.RunSuite(r.scale, workload.Microbenchmarks(), system.Schemes(), r.configure())
+		s, err := experiments.RunSuite(r.scale, workload.Microbenchmarks(), system.Schemes(), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -205,27 +191,17 @@ type benchRun struct {
 	WallNS       int64   `json:"wall_ns"`
 	Cycles       uint64  `json:"cycles"`
 	CyclesPerSec float64 `json:"cycles_per_sec"`
-	// Sched carries the sharded conductor's scheduling counters (waves
-	// run/fused/skipped, barriers elided, park events) so coordination
-	// overhead is observable in the report, not inferred from wall clock;
-	// nil for sequential-kernel runs.
-	Sched *sim.SchedCounters `json:"sched,omitempty"`
 }
 
 // benchReport is a quick machine-readable simulator-speed snapshot of one
 // figure suite (the repository's benchmark is perfbench; see DESIGN.md
-// "Performance tracking"). Shards/Workers
-// record the simulation kernel the report was measured with (0 =
-// sequential). HostCPUs is the machine's logical CPU count
+// "Performance tracking"). HostCPUs is the machine's logical CPU count
 // (runtime.NumCPU) and Gomaxprocs the Go scheduler's parallelism cap at
 // measurement time — they differ under quota-limited containers or an
-// explicit GOMAXPROCS, and a sharded wall-clock number needs both to be
-// interpreted.
+// explicit GOMAXPROCS.
 type benchReport struct {
 	Suite        string     `json:"suite"`
 	Scale        string     `json:"scale"`
-	Shards       int        `json:"shards,omitempty"`
-	Workers      int        `json:"workers,omitempty"`
 	HostCPUs     int        `json:"host_cpus"`
 	Gomaxprocs   int        `json:"gomaxprocs"`
 	Runs         []benchRun `json:"runs"`
@@ -252,14 +228,12 @@ func stampBenchPath(path, suite, scaleName string) string {
 // serially (so per-run wall times are not distorted by parallelism) and
 // writes the JSON report to path ("-" for stdout), with suite and scale
 // stamped into the filename.
-func runBenchJSON(path string, scale workload.Scale, scaleName string, shards, workers int) error {
-	rep := benchReport{Suite: "fig5.1a", Scale: scaleName, Shards: shards, Workers: workers, HostCPUs: runtime.NumCPU(), Gomaxprocs: runtime.GOMAXPROCS(0)}
+func runBenchJSON(path string, scale workload.Scale, scaleName string) error {
+	rep := benchReport{Suite: "fig5.1a", Scale: scaleName, HostCPUs: runtime.NumCPU(), Gomaxprocs: runtime.GOMAXPROCS(0)}
 	path = stampBenchPath(path, "fig51a", scaleName)
 	for _, wl := range workload.Benchmarks() {
 		for _, sch := range system.Schemes() {
-			cfg := system.DefaultConfig(sch)
-			cfg.Shards, cfg.Workers = shards, workers
-			sys, err := system.New(cfg, wl, scale)
+			sys, err := system.New(system.DefaultConfig(sch), wl, scale)
 			if err != nil {
 				return err
 			}
@@ -269,17 +243,13 @@ func runBenchJSON(path string, scale workload.Scale, scaleName string, shards, w
 			if err != nil {
 				return err
 			}
-			br := benchRun{
+			rep.Runs = append(rep.Runs, benchRun{
 				Workload:     wl,
 				Scheme:       sch.String(),
 				WallNS:       wall.Nanoseconds(),
 				Cycles:       res.Cycles,
 				CyclesPerSec: float64(res.Cycles) / wall.Seconds(),
-			}
-			if sc, ok := sys.SchedCounters(); ok {
-				br.Sched = &sc
-			}
-			rep.Runs = append(rep.Runs, br)
+			})
 			rep.TotalWallNS += wall.Nanoseconds()
 			rep.TotalCycles += res.Cycles
 		}
@@ -303,9 +273,7 @@ func main() {
 	figFlag := flag.String("fig", "all", "figure to regenerate (all, table4.1, 5.1a, 5.1b, 5.2a, 5.2b, 5.3, 5.4, 5.5, 5.6, 5.7, 5.8)")
 	scaleFlag := flag.String("scale", "small", "input scale (tiny, small, medium)")
 	benchFlag := flag.String("benchjson", "", "write a machine-readable Fig 5.1a wall-clock benchmark report to this file, with suite+scale stamped into the name (use - for stdout), and exit")
-	shardsFlag := flag.String("shards", "0", "sharded simulation kernel: tile/cube groups per side (0 = sequential kernel, \"auto\" = let the host pick, currently always the sequential kernel; results are bit-identical)")
-	workersFlag := flag.String("workers", "0", "sharded kernel worker threads per simulation (0 = shards, \"auto\" = resolve with -shards)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (profile shard-scaling bottlenecks directly from the harness)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
@@ -341,24 +309,14 @@ func main() {
 			}
 		}()
 	}
-	shards, err := system.ParseKernel(*shardsFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "arbench: -shards:", err)
-		os.Exit(2)
-	}
-	workers, err := system.ParseKernel(*workersFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "arbench: -workers:", err)
-		os.Exit(2)
-	}
 	if *benchFlag != "" {
-		if err := runBenchJSON(*benchFlag, scale, scale.String(), shards, workers); err != nil {
+		if err := runBenchJSON(*benchFlag, scale, scale.String()); err != nil {
 			fmt.Fprintln(os.Stderr, "arbench:", err)
 			os.Exit(1)
 		}
 		return
 	}
-	r := &runner{scale: scale, out: os.Stdout, shards: shards, workers: workers}
+	r := &runner{scale: scale, out: os.Stdout}
 	figs := []string{*figFlag}
 	if *figFlag == "all" {
 		figs = []string{"table4.1", "5.1a", "5.1b", "5.2a", "5.2b", "5.3", "5.4", "5.5", "5.6", "5.7", "5.8"}

@@ -60,7 +60,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/service"
 	"repro/internal/store"
-	"repro/internal/system"
 )
 
 func main() {
@@ -76,7 +75,6 @@ func main() {
 	shards := flag.Int("shards", 0, "result cache shard count (0 = 16)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown deadline")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty disables")
-	simShards := flag.String("simshards", "0", "run jobs without a pinned kernel on the sharded simulation kernel with this shard count (0 = sequential, \"auto\" = let the host pick per job, currently always the sequential kernel); a sharded job holds its resolved worker count in the shared budget")
 	storeDir := flag.String("store", "", "directory for the crash-safe result store; empty disables persistence")
 	snapDir := flag.String("snapshots", "", "directory for the checkpoint store backing prefix-shared sweeps (warm starts across restarts); empty keeps sweep checkpoints in memory only")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-clock deadline (0 = none); expired jobs abort and release their worker slots")
@@ -92,7 +90,6 @@ func main() {
 			advertise: *advertise,
 			id:        *workerID,
 			workers:   *workers,
-			simShards: *simShards,
 			timeout:   *jobTimeout,
 			heartbeat: *heartbeat,
 			jobDelay:  *chaosJobDelay,
@@ -144,12 +141,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "arserved: snapshot store %s (%d checkpoints, %d bytes)\n", *snapDir, ss.Records, ss.BytesOnDisk)
 	}
 
-	simSh, err := system.ParseKernel(*simShards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "arserved: -simshards:", err)
-		os.Exit(2)
-	}
-
 	// Coordinator mode swaps the execution seam: jobs lease out to the
 	// worker fleet instead of running in-process, and -job-timeout becomes
 	// the per-attempt lease cap (a straggling attempt re-dispatches rather
@@ -168,7 +159,6 @@ func main() {
 	svc := service.New(service.Options{
 		Workers:    *workers,
 		Shards:     *shards,
-		SimShards:  simSh,
 		Store:      st,
 		JobTimeout: svcTimeout,
 		MaxQueue:   *maxQueue,
@@ -244,7 +234,6 @@ type workerConfig struct {
 	advertise string
 	id        string
 	workers   int
-	simShards string
 	timeout   time.Duration
 	heartbeat time.Duration
 	jobDelay  time.Duration
@@ -257,11 +246,6 @@ type workerConfig struct {
 func runWorker(cfg workerConfig) {
 	if cfg.join == "" {
 		fmt.Fprintln(os.Stderr, "arserved: -mode=worker requires -join <coordinator URL>")
-		os.Exit(2)
-	}
-	simSh, err := system.ParseKernel(cfg.simShards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "arserved: -simshards:", err)
 		os.Exit(2)
 	}
 	advertise := cfg.advertise
@@ -287,7 +271,6 @@ func runWorker(cfg workerConfig) {
 		Coordinator: cfg.join,
 		Advertise:   advertise,
 		Workers:     cfg.workers,
-		SimShards:   simSh,
 		JobTimeout:  cfg.timeout,
 		Heartbeat:   cfg.heartbeat,
 		JobDelay:    cfg.jobDelay,

@@ -38,8 +38,6 @@ func main() {
 	schemeFlag := flag.String("scheme", "ARF-tid", "machine configuration (DRAM, HMC, ART, ARF-tid, ARF-addr, ARF-tid-adaptive)")
 	wlFlag := flag.String("workload", "mac", "workload (backprop, lud, pagerank, sgemm, spmv, reduce, rand_reduce, mac, rand_mac, lud_phase)")
 	scaleFlag := flag.String("scale", "small", "input scale (tiny, small, medium)")
-	shardsFlag := flag.String("shards", "0", "sharded simulation kernel: tile/cube groups per side (0 = sequential kernel, \"auto\" = let the host pick, currently always the sequential kernel; results are bit-identical)")
-	workersFlag := flag.String("workers", "0", "sharded kernel worker threads (0 = shards, \"auto\" = resolve with -shards)")
 	ckptAt := flag.Uint64("checkpoint-at", 0, "snapshot the machine at the first quiescent point at or after this cycle and exit (0 = run to completion)")
 	ckptFile := flag.String("checkpoint-file", "", "file the -checkpoint-at snapshot is written to (required with -checkpoint-at)")
 	resumeFrom := flag.String("resume-from", "", "restore a -checkpoint-at snapshot from this file and continue the run")
@@ -65,16 +63,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := activerouting.DefaultConfig(scheme)
-	if cfg.Shards, err = activerouting.ParseKernel(*shardsFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "arsim: -shards:", err)
-		os.Exit(2)
-	}
-	if cfg.Workers, err = activerouting.ParseKernel(*workersFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "arsim: -workers:", err)
-		os.Exit(2)
-	}
-	sys, err := activerouting.NewSystem(cfg, *wlFlag, scale)
+	sys, err := activerouting.NewSystem(activerouting.DefaultConfig(scheme), *wlFlag, scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "arsim:", err)
 		os.Exit(1)

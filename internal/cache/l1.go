@@ -138,9 +138,6 @@ func (l *L1) SetWaker(w *sim.Waker) { l.waker = w }
 // SetFreeHook implements cpu.MemPort.
 func (l *L1) SetFreeHook(free func()) { l.freeHook = free }
 
-// Refused implements cpu.MemPort: the L1 keeps no refusal counter.
-func (l *L1) Refused(uint64) {}
-
 // MSHRsInUse reports outstanding misses.
 func (l *L1) MSHRsInUse() int { return len(l.mshrs) }
 

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/service"
-	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/system"
 	"repro/internal/workload"
@@ -41,9 +40,6 @@ type WorkerOptions struct {
 	// budget (accepted but unstarted — exactly what a drain hands back),
 	// while the budget stays the authoritative backpressure.
 	Capacity int
-	// SimShards is applied to jobs that did not pin a kernel, exactly as
-	// service.Options.SimShards in single-process mode.
-	SimShards int
 	// JobTimeout bounds one job's simulation; 0 means none. A timed-out
 	// job is abandoned silently: the coordinator's lease expiry (attempt
 	// cap) is the authoritative straggler policy, and reporting a local
@@ -54,7 +50,7 @@ type WorkerOptions struct {
 	Heartbeat time.Duration
 	// HTTP overrides the control-plane client.
 	HTTP *http.Client
-	// JobDelay injects a fixed delay after a job acquires its budget slots
+	// JobDelay injects a fixed delay after a job acquires its budget slot
 	// and before it simulates — the chaos harness's slow-worker knob.
 	JobDelay time.Duration
 }
@@ -363,7 +359,7 @@ func (o *jobObserver) JobStarted() {
 	}
 }
 
-func (o *jobObserver) JobCompleted(sim.SchedCounters) {}
+func (o *jobObserver) JobCompleted() {}
 
 // runJob executes one lease through the shared execution core and reports
 // the outcome. Context-cancellation errors are not reported: they mean
@@ -378,9 +374,8 @@ func (w *Worker) runJob(ctx context.Context, l *wlease, job service.Job, key str
 		defer cancel()
 	}
 	exec := &service.Local{
-		Budget:    w.budget,
-		SimShards: w.opts.SimShards,
-		Observer:  &jobObserver{w: w, l: l},
+		Budget:   w.budget,
+		Observer: &jobObserver{w: w, l: l},
 	}
 	res, err := exec.Execute(ctx, job)
 

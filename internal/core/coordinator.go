@@ -347,21 +347,14 @@ func (c *Coordinator) releaseGather(f *coordFlow, cycle uint64) {
 	}
 }
 
-// OnGatherResp folds one tree's partial result (delivered at a controller).
-// The packet is consumed by value — FoldGatherResp carries the scalars — so
-// the sharded kernel can stage the call across the wave barrier without
-// retaining the packet.
+// OnGatherResp folds one tree's partial result (delivered at a controller)
+// into the flow's forest partial.
 func (c *Coordinator) OnGatherResp(p *network.Packet, cycle uint64) {
-	c.FoldGatherResp(mem.PAddr(p.Flow.Flow), p.Value, cycle)
-}
-
-// FoldGatherResp folds value into the flow's forest partial.
-func (c *Coordinator) FoldGatherResp(flow mem.PAddr, value float64, cycle uint64) {
-	f, ok := c.flows[flow]
+	f, ok := c.flows[mem.PAddr(p.Flow.Flow)]
 	if !ok {
-		panic(fmt.Sprintf("core: gather response for unknown flow %#x", uint64(flow)))
+		panic(fmt.Sprintf("core: gather response for unknown flow %#x", p.Flow.Flow))
 	}
-	f.partial = f.op.Combine(f.partial, value)
+	f.partial = f.op.Combine(f.partial, p.Value)
 	f.pendingTree--
 	if f.pendingTree < 0 {
 		panic("core: more tree responses than live trees")
@@ -385,19 +378,13 @@ func (c *Coordinator) finalize(f *coordFlow, cycle uint64) {
 }
 
 // OnActiveAck completes an active store; for flow write-backs it releases
-// the flow's thread barrier. As with OnGatherResp, the packet is consumed
-// by value (CompleteActiveAck).
+// the flow's thread barrier.
 func (c *Coordinator) OnActiveAck(p *network.Packet, cycle uint64) {
-	c.CompleteActiveAck(p.Tag, cycle)
-}
-
-// CompleteActiveAck completes the active store identified by tag.
-func (c *Coordinator) CompleteActiveAck(tag uint64, cycle uint64) {
-	f, ok := c.pendingAcks[tag]
+	f, ok := c.pendingAcks[p.Tag]
 	if !ok {
-		panic(fmt.Sprintf("core: active-store ack with unknown tag %d", tag))
+		panic(fmt.Sprintf("core: active-store ack with unknown tag %d", p.Tag))
 	}
-	delete(c.pendingAcks, tag)
+	delete(c.pendingAcks, p.Tag)
 	if f == nil {
 		return // plain mov/const store
 	}

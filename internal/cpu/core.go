@@ -52,24 +52,20 @@ func DefaultConfig() Config {
 // pending instruction a port refused stops retrying it every cycle and
 // parks until the port calls the hook installed by SetFreeHook; the port
 // must call it on every change that can turn the refusal into acceptance.
-// Refused(n) credits the n retries a parked core skipped to whatever
-// refusal counter the port keeps, so the port's statistics match a core
-// that retried every cycle. A port serves one core.
+// A port serves one core.
 type MemPort interface {
 	Access(addr mem.PAddr, write bool, cycle uint64, done func(cycle uint64)) bool
 	SetFreeHook(free func())
-	Refused(n uint64)
 }
 
 // OffloadPort is the core's Message Interface for the Update/Gather ISA
 // extension (§3.1.2). Update is fire-and-forget once accepted; Gather's
-// wake callback releases the issuing thread's fence. SetFreeHook and
-// Refused follow the MemPort parking contract.
+// wake callback releases the issuing thread's fence. SetFreeHook follows
+// the MemPort parking contract.
 type OffloadPort interface {
 	Update(cmd core.UpdateCmd, cycle uint64) bool
 	Gather(cmd core.GatherCmd, cycle uint64) bool
 	SetFreeHook(free func())
-	Refused(n uint64)
 }
 
 // Stats counts per-core activity.
@@ -128,7 +124,6 @@ type Core struct {
 	store   *mem.Store
 	as      *mem.AddrSpace
 	barrier *Barrier
-	fx      *EffectLog // non-nil under the sharded kernel: staged effects
 
 	fenced bool // Gather or barrier outstanding: dispatch stops
 
@@ -228,15 +223,6 @@ func (c *Core) unpark() {
 // SetWaker implements sim.WakeSetter.
 func (c *Core) SetWaker(w *sim.Waker) { c.waker = w }
 
-// SetEffectLog routes the core's global side effects (backing-store writes,
-// barrier arrivals) into a per-core staging log instead of applying them
-// inline. The sharded kernel installs one log per core and commits them in
-// core order at a serial point, which reproduces the sequential kernel's
-// interleaving exactly while cores tick on different workers (DESIGN.md
-// "Sharded kernel"): store/atomic-add values never depend on prior memory
-// contents, so per-core FIFO + core-order commit is bit-identical.
-func (c *Core) SetEffectLog(fx *EffectLog) { c.fx = fx }
-
 // Finished reports whether the thread has fully retired.
 func (c *Core) Finished() bool {
 	return c.exhausted && !c.hasPending && c.robLen() == 0
@@ -293,8 +279,7 @@ func (c *Core) catchUp(now uint64) {
 	c.lastSeen = now
 }
 
-// credit adds n skipped cycles to the stall counter of reason r, and for a
-// parked refusal to the refusing port's own counter.
+// credit adds n skipped cycles to the stall counter of reason r.
 func (c *Core) credit(r skipReason, n uint64) {
 	switch r {
 	case skipFence:
@@ -303,10 +288,8 @@ func (c *Core) credit(r skipReason, n uint64) {
 		c.Stats.ROBFullCycles += n
 	case skipMemStall:
 		c.Stats.MemStalls += n
-		c.mem.Refused(n)
 	case skipOffloadStall:
 		c.Stats.OffloadStalls += n
-		c.offload.Refused(n)
 	}
 }
 
@@ -354,25 +337,14 @@ func (c *Core) retire(cycle uint64) {
 // time. Dispatch is in program order, so a store's value is visible in the
 // backing store before any later Update of the same thread is offloaded —
 // the ordering the fire-and-forget offload semantics rely on (a store still
-// pays its full coherence timing separately). Under the sharded kernel the
-// effect is staged in the core's log instead; neither effect kind reads a
-// value that a deferral could change (a store carries its value, an atomic
-// add carries its delta), so the core-order commit is bit-identical.
+// pays its full coherence timing separately).
 func (c *Core) applyEffect(in *isa.Inst) {
 	switch in.Kind {
 	case isa.KindStore:
 		pa := c.as.Translate(in.Addr)
-		if c.fx != nil {
-			c.fx.ops = append(c.fx.ops, effect{kind: effStore, pa: pa, val: in.Value}) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
-			return
-		}
 		c.store.WriteF64(pa, in.Value)
 	case isa.KindAtomicAdd:
 		pa := c.as.Translate(in.Addr)
-		if c.fx != nil {
-			c.fx.ops = append(c.fx.ops, effect{kind: effAtomicAdd, pa: pa, val: in.Value}) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
-			return
-		}
 		c.store.WriteF64(pa, c.store.ReadF64(pa)+in.Value)
 	}
 }
@@ -546,11 +518,7 @@ func (c *Core) issue(in *isa.Inst, cycle uint64) bool {
 		c.fenced = true
 		c.fenceKind = FenceBarrier
 		c.Stats.Barriers++
-		if c.fx != nil {
-			c.fx.ops = append(c.fx.ops, effect{kind: effBarrier, wake: e.barrierWake}) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
-		} else {
-			c.barrier.Arrive(e.barrierWake)
-		}
+		c.barrier.Arrive(e.barrierWake)
 	default:
 		panic(fmt.Sprintf("cpu: unknown instruction kind %s", in.Kind))
 	}
@@ -564,67 +532,13 @@ func (c *Core) refusedOffload() {
 	c.parkedOn = skipOffloadStall
 }
 
-// effect is one staged global side effect of a core's dispatch.
-type effect struct {
-	kind effKind
-	pa   mem.PAddr
-	val  float64
-	wake func()
-}
-
-type effKind uint8
-
-const (
-	effStore effKind = iota
-	effAtomicAdd
-	effBarrier
-)
-
-// EffectLog stages one core's global side effects under the sharded
-// kernel. The log is owned by its core during parallel waves and flushed —
-// in core order, by the serial effect-commit hook — before anything that
-// reads the backing store ticks. The slice is reused; steady state
-// allocates nothing.
-type EffectLog struct {
-	store   *mem.Store
-	barrier *Barrier
-	ops     []effect
-}
-
-// NewEffectLog builds a log applying to the given store and barrier
-// (barrier may be nil when the workload never synchronizes).
-func NewEffectLog(store *mem.Store, barrier *Barrier) *EffectLog {
-	return &EffectLog{store: store, barrier: barrier}
-}
-
-// Pending reports whether staged effects await their flush.
-func (l *EffectLog) Pending() bool { return len(l.ops) > 0 }
-
-// Flush applies the staged effects in program order.
-func (l *EffectLog) Flush() {
-	for i := range l.ops {
-		op := &l.ops[i]
-		switch op.kind {
-		case effStore:
-			l.store.WriteF64(op.pa, op.val)
-		case effAtomicAdd:
-			l.store.WriteF64(op.pa, l.store.ReadF64(op.pa)+op.val)
-		case effBarrier:
-			l.barrier.Arrive(op.wake)
-		}
-		*op = effect{}
-	}
-	l.ops = l.ops[:0]
-}
-
 // Barrier is a reusable centralized thread barrier. Completion is deferred:
 // when the n-th thread arrives the waiters move to a release list that
 // Flush fires at the end of the cycle, so every waiter — regardless of its
 // position in the tick order relative to the last arriver — resumes on the
-// next cycle. The uniform one-cycle release latency is both closer to a
-// real barrier's notification delay and required by the sharded kernel,
-// where cores in different tick domains cannot observe a same-cycle
-// release (DESIGN.md "Sharded kernel").
+// next cycle. The uniform one-cycle release latency models a real
+// barrier's notification delay and makes the release independent of
+// where the last arriver sits in the tick order.
 type Barrier struct {
 	n         int
 	arrived   int

@@ -33,8 +33,6 @@ func (m *instantMem) Access(addr mem.PAddr, write bool, cycle uint64, done func(
 
 func (m *instantMem) SetFreeHook(func()) {}
 
-func (m *instantMem) Refused(uint64) {}
-
 func (m *instantMem) tick(cycle uint64) {
 	kept := m.pending[:0]
 	for _, p := range m.pending {
@@ -48,8 +46,8 @@ func (m *instantMem) tick(cycle uint64) {
 }
 
 // mockOffload accepts offloads and records them. refusals counts every
-// refused offload, retried or credited by a parked core, and release lifts
-// a refusal through the core's free hook.
+// refused offload call, and release lifts a refusal through the core's
+// free hook.
 type mockOffload struct {
 	updates  []core.UpdateCmd
 	gathers  []core.GatherCmd
@@ -77,8 +75,6 @@ func (o *mockOffload) Gather(cmd core.GatherCmd, cycle uint64) bool {
 }
 
 func (o *mockOffload) SetFreeHook(free func()) { o.freeHook = free }
-
-func (o *mockOffload) Refused(n uint64) { o.refusals += n }
 
 func (o *mockOffload) release() {
 	o.refuse = false

@@ -41,8 +41,6 @@ func (m *refusingMem) Access(addr mem.PAddr, write bool, cycle uint64, done func
 
 func (m *refusingMem) SetFreeHook(free func()) { m.freeHook = free }
 
-func (m *refusingMem) Refused(n uint64) { m.refusals += n }
-
 func (m *refusingMem) Tick(cycle uint64) {
 	if m.blocked && cycle >= m.blockUntil {
 		m.blocked = false
@@ -101,11 +99,9 @@ func (w *offloadWindows) NextWork(now uint64) uint64 {
 
 // parkOutcome is everything a run must reproduce exactly.
 type parkOutcome struct {
-	stats       Stats
-	finish      uint64
-	memRefusals uint64
-	offRefusals uint64
-	offloads    int
+	stats    Stats
+	finish   uint64
+	offloads int
 }
 
 // parkRig is a core running a load/store/update mix against refusing
@@ -162,29 +158,28 @@ func newParkRig(lockstep, portsFirst bool) *parkRig {
 
 func (r *parkRig) outcome() parkOutcome {
 	return parkOutcome{
-		stats:       r.c.Stats,
-		finish:      r.e.Cycle(),
-		memRefusals: r.m.refusals,
-		offRefusals: r.off.refusals,
-		offloads:    len(r.off.updates),
+		stats:    r.c.Stats,
+		finish:   r.e.Cycle(),
+		offloads: len(r.off.updates),
 	}
 }
 
 // TestRefusalParkingMatchesLockstep pins the parking contract: a core
-// parked on refusing ports reports the same Stats, finish cycle and port
-// refusal counts as one that retries every cycle, in either tick order.
+// parked on refusing ports reports the same Stats and finish cycle as one
+// that retries every cycle, in either tick order, and the retrying core's
+// stall counters equal the refusals its ports saw.
 func TestRefusalParkingMatchesLockstep(t *testing.T) {
 	for _, portsFirst := range []bool{false, true} {
 		t.Run(fmt.Sprintf("portsFirst=%v", portsFirst), func(t *testing.T) {
 			var got, want parkOutcome
-			var parked *parkRig
+			var parked, lock *parkRig
 			for _, lockstep := range []bool{true, false} {
 				r := newParkRig(lockstep, portsFirst)
 				if _, err := r.e.RunUntil(r.c.Finished, 1<<20); err != nil {
 					t.Fatal(err)
 				}
 				if lockstep {
-					want = r.outcome()
+					want, lock = r.outcome(), r
 				} else {
 					got, parked = r.outcome(), r
 				}
@@ -195,9 +190,9 @@ func TestRefusalParkingMatchesLockstep(t *testing.T) {
 			if want.stats.MemStalls == 0 || want.stats.OffloadStalls == 0 || want.offloads != 96 {
 				t.Fatalf("workload exercised no refusals or lost offloads: %+v", want)
 			}
-			if want.memRefusals != want.stats.MemStalls || want.offRefusals != want.stats.OffloadStalls {
+			if lock.m.refusals != want.stats.MemStalls || lock.off.refusals != want.stats.OffloadStalls {
 				t.Fatalf("port refusal counts %d/%d disagree with core stalls %+v",
-					want.memRefusals, want.offRefusals, want.stats)
+					lock.m.refusals, lock.off.refusals, want.stats)
 			}
 			if parked.e.JumpedCycles == 0 {
 				t.Fatal("no quiescent jump: the parked core was polled every cycle")

@@ -327,13 +327,13 @@ func TestFabricCountsMovement(t *testing.T) {
 	for cyc := uint64(0); len(cols[5].got) < 2 && cyc < 1000; cyc++ {
 		f.Tick(cyc)
 	}
-	if f.MovementTotal().ActiveReq != uint64(SizeOf(UpdateReq)) {
-		t.Fatalf("active req bytes = %d", f.MovementTotal().ActiveReq)
+	if f.Movement.ActiveReq != uint64(SizeOf(UpdateReq)) {
+		t.Fatalf("active req bytes = %d", f.Movement.ActiveReq)
 	}
-	if f.MovementTotal().NormResp != uint64(SizeOf(MemReadResp)) {
-		t.Fatalf("norm resp bytes = %d", f.MovementTotal().NormResp)
+	if f.Movement.NormResp != uint64(SizeOf(MemReadResp)) {
+		t.Fatalf("norm resp bytes = %d", f.Movement.NormResp)
 	}
-	if f.HopBytesTotal() == 0 {
+	if f.HopBytes == 0 {
 		t.Fatal("hop bytes not accumulated")
 	}
 }

@@ -15,7 +15,7 @@ import (
 // component).
 //
 // A successful Deliver transfers packet ownership to the endpoint, which
-// must release the packet to its domain's Pool at its single point of final
+// must release the packet to the fabric's Pool at its single point of final
 // consumption (see Pool and DESIGN.md "Memory discipline").
 type Endpoint interface {
 	Deliver(p *Packet, cycle uint64) bool
@@ -103,14 +103,6 @@ type credRef struct {
 	idx  int32
 }
 
-// stagedPush is one cross-domain wheel push awaiting its serial commit:
-// packet a lands at router node's arrival wheel slot t (network cycles).
-type stagedPush struct {
-	node int32
-	t    uint64
-	a    arrival
-}
-
 // link is a precomputed Topology.Neighbor result for one output port.
 type link struct {
 	peer     int
@@ -121,7 +113,6 @@ type link struct {
 type router struct {
 	node     int
 	ports    int
-	dom      *domain      // owning tick domain
 	in       []packetRing // [port*VCs + vc]
 	inj      []packetRing // [vc]
 	up       []upstream   // [port] upstream node/port, node == -1 if unused
@@ -203,81 +194,50 @@ func (f *Fabric) updateHead(r *router, idx int) {
 func (r *router) markIn(idx int)   { r.occ |= 1 << uint(idx) }
 func (r *router) unmarkIn(idx int) { r.occ &^= 1 << uint(idx) }
 
-// domain is the per-shard slice of fabric state: the routers a tick domain
-// owns plus every counter, mask, pool and staging buffer those routers
-// touch. The sequential kernel runs one domain holding every node; the
-// sharded kernel partitions nodes so that each domain's tick (land, eject,
-// forward) touches only its own state, staging cross-domain effects for a
-// serial commit (DESIGN.md "Sharded kernel").
-type domain struct {
-	idx   int
-	nodes []int // owned routers, ascending
+// Fabric is one interconnection network instance: topology + routers +
+// endpoints, ticked as one component.
+type Fabric struct {
+	Topo Topology
+	Cfg  Config
 
-	// pool is the domain's packet free list. Components attached to this
-	// domain's nodes acquire and release packets here (PoolAt); ownership
-	// transfer at a staged cross-domain edge means a packet may retire into
-	// a different domain's pool than it was drawn from, which the free-list
-	// semantics are indifferent to.
-	pool *Pool
+	// Pool is the fabric's packet free list. Components attached to the
+	// fabric acquire and release packets here.
+	Pool *Pool
 
-	// Occupancy: inflight counts packets owned by this domain (queued at
-	// its routers, on wires toward them after commit, or awaiting commit in
-	// its push stage); queued is the subset in input/injection queues.
+	// Counters holds the per-kind delivery counters.
+	Counters   *stats.Set
+	deliveredH [kindCount]stats.Handle
+
+	routers   []*router
+	endpoints []Endpoint
+
+	// Occupancy: inflight counts packets anywhere in the fabric (queued or
+	// on a wire); queued is the subset in input/injection queues.
 	inflight int
 	queued   int
 
-	// Router-level occupancy masks, bit = global node id (valid while the
-	// fabric is maskable): busyNodes marks owned routers holding queued
-	// packets, pendingNodes owned routers with in-flight arrivals.
+	// Router-level occupancy masks, bit = node id (valid while
+	// nodeMaskable): busyNodes marks routers holding queued packets,
+	// pendingNodes routers with in-flight arrivals.
 	busyNodes    uint64
 	pendingNodes uint64
 
-	// waker invalidates the scheduler's cached idle hint for this domain's
-	// segment; Inject at an owned node and the serial push commit wake it.
+	// waker invalidates the engine's cached idle hint; Inject is the
+	// fabric's only external entry point.
 	waker *sim.Waker
 
-	// pendingCredits defers same-domain credit returns to the start of the
-	// domain's next tick (1-cycle credit turnaround); stagedCredits holds
-	// returns whose upstream router lives in another domain, bumped by the
-	// serial commit. Both slices are reused; steady state allocates nothing.
+	// pendingCredits defers credit returns to the start of the next
+	// network cycle's tick (1-cycle credit turnaround, part of the timing
+	// model). The slice is reused; steady state allocates nothing.
 	pendingCredits []credRef
-	stagedCredits  []credRef
 
-	// stagedPushes holds cross-domain wheel pushes in forward order,
-	// committed serially in (domain, FIFO) order — exactly the per-edge
-	// FIFO the sequential kernel produces, since any (dest, port) pair has
-	// a single upstream router and therefore a single staging domain.
-	stagedPushes []stagedPush
-
-	// Counters for Fig 5.4 and the energy model (merged across domains at
-	// collection time; every merge is a commutative sum).
-	counters     *stats.Set
-	deliveredH   [kindCount]stats.Handle
+	// Counters for Fig 5.4 and the energy model.
 	HopBytes     uint64
 	Delivered    uint64
 	Injected     uint64
 	Movement     stats.DataMovement
 	ejectStalled uint64
 	nextID       uint64
-}
-
-// Fabric is one interconnection network instance: topology + routers +
-// endpoints, partitioned into one (sequential) or more (sharded) domains.
-type Fabric struct {
-	Topo Topology
-	Cfg  Config
-
-	// Pool aliases the first domain's packet free list — the whole fabric's
-	// free list in the sequential kernel. Sharded components use PoolAt.
-	Pool *Pool
-
-	// Counters aliases the first domain's counter set; MergedCounters folds
-	// every domain for export.
-	Counters *stats.Set
-
-	routers   []*router
-	endpoints []Endpoint
-	doms      []*domain
 
 	nodeMaskable bool
 	wheelHorizon uint64 // arrival-wheel capacity in network cycles
@@ -295,14 +255,16 @@ type Fabric struct {
 	classMask [3]uint64
 }
 
-// NewFabric builds a network over topo with a single tick domain (the
-// sequential kernel). Endpoints are attached later with SetEndpoint; the
-// sharded kernel repartitions with ShardNodes before any traffic flows.
+// NewFabric builds a network over topo. Endpoints are attached later with
+// SetEndpoint.
 func NewFabric(topo Topology, cfg Config) *Fabric {
 	if cfg.VCs <= 0 || cfg.QueueDepth <= 0 || cfg.LinkBandwidth <= 0 || cfg.ClockDiv == 0 {
 		panic("network: invalid fabric config")
 	}
-	f := &Fabric{Topo: topo, Cfg: cfg}
+	f := &Fabric{Topo: topo, Cfg: cfg, Pool: NewPool(), Counters: stats.NewSet()}
+	for k := Kind(0); k < kindCount; k++ {
+		f.deliveredH[k] = f.Counters.Register("delivered_" + k.String())
+	}
 	n := topo.Nodes()
 	f.nodeMaskable = n <= 64
 	if cfg.ClockDiv&(cfg.ClockDiv-1) == 0 {
@@ -386,76 +348,20 @@ func NewFabric(topo Topology, cfg Config) *Fabric {
 			}
 		}
 	}
-	// Single domain over every node: the sequential kernel.
-	assign := make([]int, n)
-	f.ShardNodes(assign, 1)
 	return f
 }
-
-// newDomain builds an empty domain with its own pool and counter set.
-func (f *Fabric) newDomain(idx int) *domain {
-	d := &domain{idx: idx, pool: NewPool(), counters: stats.NewSet()}
-	for k := Kind(0); k < kindCount; k++ {
-		d.deliveredH[k] = d.counters.Register("delivered_" + k.String())
-	}
-	return d
-}
-
-// ShardNodes partitions the fabric's routers into n tick domains:
-// assign[node] names the domain owning each node. It must run before any
-// traffic flows (the constructor calls it with a single domain; the
-// sharded system repartitions immediately after construction). Counters,
-// masks, pools and staging buffers become domain-local; Pool and Counters
-// re-alias domain 0.
-func (f *Fabric) ShardNodes(assign []int, n int) {
-	if len(assign) != len(f.routers) {
-		panic("network: ShardNodes assignment length mismatch")
-	}
-	for _, d := range f.doms {
-		if d.inflight != 0 {
-			panic("network: ShardNodes with traffic in flight")
-		}
-	}
-	f.doms = make([]*domain, n)
-	for i := range f.doms {
-		f.doms[i] = f.newDomain(i)
-	}
-	for node, di := range assign {
-		if di < 0 || di >= n {
-			panic("network: ShardNodes assignment out of range")
-		}
-		d := f.doms[di]
-		d.nodes = append(d.nodes, node)
-		f.routers[node].dom = d
-	}
-	f.Pool = f.doms[0].pool
-	f.Counters = f.doms[0].counters
-}
-
-// Domains reports the current partition count.
-func (f *Fabric) Domains() int { return len(f.doms) }
-
-// DomainNodes reports how many routers domain i owns.
-func (f *Fabric) DomainNodes(i int) int { return len(f.doms[i].nodes) }
-
-// PoolAt returns the packet free list of the domain owning node. Components
-// acquire and release packets through the pool of the node they are
-// attached to, which keeps pool access single-threaded under the sharded
-// kernel's wave schedule.
-func (f *Fabric) PoolAt(node int) *Pool { return f.routers[node].dom.pool }
 
 // SetEndpoint attaches the component that consumes packets at node n.
 func (f *Fabric) SetEndpoint(n int, e Endpoint) { f.endpoints[n] = e }
 
-// SetWaker implements sim.WakeSetter for the sequential kernel, where the
-// whole fabric is one component: Inject is the fabric's only external entry
-// point; everything else advances through its own Tick.
-func (f *Fabric) SetWaker(w *sim.Waker) { f.doms[0].waker = w }
+// SetWaker implements sim.WakeSetter: Inject is the fabric's only external
+// entry point; everything else advances through its own Tick.
+func (f *Fabric) SetWaker(w *sim.Waker) { f.waker = w }
 
-// NextID returns a fresh packet id (domain 0; diagnostics only).
+// NextID returns a fresh packet id (diagnostics only).
 func (f *Fabric) NextID() uint64 {
-	f.doms[0].nextID++
-	return f.doms[0].nextID
+	f.nextID++
+	return f.nextID
 }
 
 // InjectionFree reports the free injection slots for p's VC at node n.
@@ -465,9 +371,7 @@ func (f *Fabric) InjectionFree(n int, p *Packet) int {
 }
 
 // Inject offers packet p for injection at node n; it reports false when the
-// injection queue is full. Src is forced to n. Injection touches only the
-// source node's domain, so components may inject at their own node from any
-// wave.
+// injection queue is full. Src is forced to n.
 func (f *Fabric) Inject(n int, p *Packet, cycle uint64) bool {
 	if p.Dst < 0 || p.Dst >= f.Topo.Nodes() {
 		panic(fmt.Sprintf("network: inject to invalid node %d", p.Dst))
@@ -491,51 +395,37 @@ func (f *Fabric) Inject(n int, p *Packet, cycle uint64) bool {
 		f.updateHead(r, idx)
 	}
 	r.injCount++
-	d := r.dom
-	d.busyNodes |= 1 << uint(n)
-	d.waker.Wake()
-	d.inflight++
-	d.queued++
-	d.Injected++
-	f.account(d, p)
+	f.busyNodes |= 1 << uint(n)
+	f.waker.Wake()
+	f.inflight++
+	f.queued++
+	f.Injected++
+	f.account(p)
 	return true
 }
 
-func (f *Fabric) account(d *domain, p *Packet) {
+func (f *Fabric) account(p *Packet) {
 	sz := uint64(p.Size)
 	switch {
 	case p.Kind.Active() && p.Kind.IsResponse():
-		d.Movement.ActiveResp += sz
+		f.Movement.ActiveResp += sz
 	case p.Kind.Active():
-		d.Movement.ActiveReq += sz
+		f.Movement.ActiveReq += sz
 	case p.Kind.IsResponse():
-		d.Movement.NormResp += sz
+		f.Movement.NormResp += sz
 	default:
-		d.Movement.NormReq += sz
+		f.Movement.NormReq += sz
 	}
 }
 
 // Drained reports whether no packets remain anywhere in the fabric. It is a
-// counter read per domain; the full-scan equivalent is InFlightScan.
-func (f *Fabric) Drained() bool {
-	for _, d := range f.doms {
-		if d.inflight != 0 {
-			return false
-		}
-	}
-	return true
-}
+// counter read; the full-scan equivalent is InFlightScan.
+func (f *Fabric) Drained() bool { return f.inflight == 0 }
 
-// InFlight counts packets currently inside the fabric (counter reads).
-func (f *Fabric) InFlight() int {
-	n := 0
-	for _, d := range f.doms {
-		n += d.inflight
-	}
-	return n
-}
+// InFlight counts packets currently inside the fabric (a counter read).
+func (f *Fabric) InFlight() int { return f.inflight }
 
-// InFlightScan recounts in-flight packets by walking every queue and stage.
+// InFlightScan recounts in-flight packets by walking every queue and wheel.
 // It exists to cross-check the occupancy counters in tests.
 func (f *Fabric) InFlightScan() int {
 	n := 0
@@ -548,88 +438,22 @@ func (f *Fabric) InFlightScan() int {
 			n += r.inj[i].len()
 		}
 	}
-	for _, d := range f.doms {
-		n += len(d.stagedPushes)
-	}
 	return n
 }
 
-// MovementTotal sums the Fig 5.4 data-movement split across domains.
-func (f *Fabric) MovementTotal() stats.DataMovement {
-	var m stats.DataMovement
-	for _, d := range f.doms {
-		m.NormReq += d.Movement.NormReq
-		m.NormResp += d.Movement.NormResp
-		m.ActiveReq += d.Movement.ActiveReq
-		m.ActiveResp += d.Movement.ActiveResp
-	}
-	return m
-}
-
-// HopBytesTotal sums bytes × link traversals across domains (energy model).
-func (f *Fabric) HopBytesTotal() uint64 {
-	n := uint64(0)
-	for _, d := range f.doms {
-		n += d.HopBytes
-	}
-	return n
-}
-
-// DeliveredTotal sums delivered packets across domains.
-func (f *Fabric) DeliveredTotal() uint64 {
-	n := uint64(0)
-	for _, d := range f.doms {
-		n += d.Delivered
-	}
-	return n
-}
-
-// InjectedTotal sums injected packets across domains.
-func (f *Fabric) InjectedTotal() uint64 {
-	n := uint64(0)
-	for _, d := range f.doms {
-		n += d.Injected
-	}
-	return n
-}
-
-// EjectStalledTotal sums refused endpoint deliveries across domains.
-func (f *Fabric) EjectStalledTotal() uint64 {
-	n := uint64(0)
-	for _, d := range f.doms {
-		n += d.ejectStalled
-	}
-	return n
-}
-
-// MergedCounters folds every domain's delivery counters into one set.
-func (f *Fabric) MergedCounters() *stats.Set {
-	out := stats.NewSet()
-	for _, d := range f.doms {
-		out.Merge(d.counters)
-	}
-	return out
-}
-
-// NextWork implements sim.Idler for the sequential kernel (domain 0 is the
-// whole fabric).
+// NextWork implements sim.Idler: the next clock edge while packets are
+// queued at any router, or the earliest in-flight arrival when everything
+// is on the wire.
 func (f *Fabric) NextWork(now uint64) uint64 {
-	return f.domainNextWork(f.doms[0], now)
-}
-
-// domainNextWork reports the earliest cycle the domain's tick has work: the
-// next clock edge while packets are queued at its routers, or the earliest
-// in-flight arrival when everything it owns is on the wire.
-func (f *Fabric) domainNextWork(d *domain, now uint64) uint64 {
-	if d.inflight == 0 {
+	if f.inflight == 0 {
 		return sim.Never
 	}
-	if d.queued > 0 {
+	if f.queued > 0 {
 		return f.alignUp(now)
 	}
 	next := sim.Never
 	if f.nodeMaskable {
-		for m := d.pendingNodes; m != 0; {
+		for m := f.pendingNodes; m != 0; {
 			node := bits.TrailingZeros64(m)
 			m &= m - 1
 			if pm := f.routers[node].pendingMin; pm < next {
@@ -637,9 +461,9 @@ func (f *Fabric) domainNextWork(d *domain, now uint64) uint64 {
 			}
 		}
 	} else {
-		for _, node := range d.nodes {
-			if pm := f.routers[node].pendingMin; pm < next {
-				next = pm
+		for _, r := range f.routers {
+			if r.pendingMin < next {
+				next = r.pendingMin
 			}
 		}
 	}
@@ -677,32 +501,21 @@ func (f *Fabric) netCycle(c uint64) uint64 {
 	return c / f.Cfg.ClockDiv
 }
 
-// Tick advances the whole fabric by one simulator cycle (the sequential
-// kernel: every node lives in domain 0).
+// Tick advances the fabric by one simulator cycle: apply the credits
+// returned last network cycle, then land, eject and forward.
 //
 //ar:hotpath
 func (f *Fabric) Tick(cycle uint64) {
-	f.tickDomain(f.doms[0], cycle)
-}
-
-// tickDomain advances one domain by one simulator cycle: apply deferred
-// credits, then land, eject and forward its routers. Under the sharded
-// kernel each domain's tick touches only domain-local state plus its own
-// staging buffers, so domains tick concurrently; with one domain this is
-// exactly the sequential fabric tick.
-//
-//ar:hotpath
-func (f *Fabric) tickDomain(d *domain, cycle uint64) {
 	if !f.onEdge(cycle) {
 		return
 	}
-	if len(d.pendingCredits) > 0 {
-		for _, c := range d.pendingCredits {
+	if len(f.pendingCredits) > 0 {
+		for _, c := range f.pendingCredits {
 			f.routers[c.node].credits[c.idx]++
 		}
-		d.pendingCredits = d.pendingCredits[:0]
+		f.pendingCredits = f.pendingCredits[:0]
 	}
-	if d.inflight == 0 {
+	if f.inflight == 0 {
 		return
 	}
 	// Phase 1: land arrivals into input queues (credits guaranteed space).
@@ -710,14 +523,14 @@ func (f *Fabric) tickDomain(d *domain, cycle uint64) {
 	// is still on the wire are skipped entirely via pendingMin, and only
 	// routers with any pending arrival are visited at all.
 	if f.nodeMaskable {
-		for m := d.pendingNodes; m != 0; {
+		for m := f.pendingNodes; m != 0; {
 			node := bits.TrailingZeros64(m)
 			m &= m - 1
 			f.land(f.routers[node], cycle)
 		}
 	} else {
-		for _, node := range d.nodes {
-			f.land(f.routers[node], cycle)
+		for _, r := range f.routers {
+			f.land(r, cycle)
 		}
 	}
 	// Phase 2: ejection — deliver packets that reached their destination.
@@ -725,7 +538,7 @@ func (f *Fabric) tickDomain(d *domain, cycle uint64) {
 	// routers busy), but injection never adds input-queue packets, so the
 	// snapshot covers every router with ejectable state.
 	if f.nodeMaskable {
-		for m := d.busyNodes; m != 0; {
+		for m := f.busyNodes; m != 0; {
 			node := bits.TrailingZeros64(m)
 			m &= m - 1
 			if r := f.routers[node]; r.inCount > 0 {
@@ -733,17 +546,17 @@ func (f *Fabric) tickDomain(d *domain, cycle uint64) {
 			}
 		}
 	} else {
-		for _, node := range d.nodes {
-			if r := f.routers[node]; r.inCount > 0 {
+		for _, r := range f.routers {
+			if r.inCount > 0 {
 				f.eject(r, cycle)
 			}
 		}
 	}
-	// Phase 3: switch allocation and forwarding (forwarding moves packets
-	// to same-domain pending wheels directly and stages cross-domain pushes
-	// for the serial commit; the snapshot is complete).
+	// Phase 3: switch allocation and forwarding (forwarded packets land on
+	// pending wheels at least one network cycle ahead, so the snapshot is
+	// complete).
 	if f.nodeMaskable {
-		for m := d.busyNodes; m != 0; {
+		for m := f.busyNodes; m != 0; {
 			node := bits.TrailingZeros64(m)
 			m &= m - 1
 			if r := f.routers[node]; r.inCount+r.injCount > 0 {
@@ -751,39 +564,11 @@ func (f *Fabric) tickDomain(d *domain, cycle uint64) {
 			}
 		}
 	} else {
-		for _, node := range d.nodes {
-			if r := f.routers[node]; r.inCount+r.injCount > 0 {
+		for _, r := range f.routers {
+			if r.inCount+r.injCount > 0 {
 				f.forward(r, cycle)
 			}
 		}
-	}
-}
-
-// CommitStaged applies every domain's cross-domain effects — wheel pushes
-// in (domain, FIFO) order and staged credit increments — and wakes the
-// domains that received work. It runs in a serial section between waves;
-// with a single domain it is never needed (nothing stages).
-func (f *Fabric) CommitStaged() {
-	for _, d := range f.doms {
-		for i := range d.stagedPushes {
-			sp := &d.stagedPushes[i]
-			peer := f.routers[sp.node]
-			pd := peer.dom
-			peer.pending.push(sp.t, sp.a)
-			if sp.a.cycle < peer.pendingMin {
-				peer.pendingMin = sp.a.cycle
-			}
-			pd.pendingNodes |= 1 << uint(sp.node)
-			d.inflight--
-			pd.inflight++
-			pd.waker.Wake()
-			d.stagedPushes[i] = stagedPush{}
-		}
-		d.stagedPushes = d.stagedPushes[:0]
-		for _, c := range d.stagedCredits {
-			f.routers[c.node].credits[c.idx]++
-		}
-		d.stagedCredits = d.stagedCredits[:0]
 	}
 }
 
@@ -793,7 +578,6 @@ func (f *Fabric) land(r *router, cycle uint64) {
 	if r.pendingMin > cycle {
 		return
 	}
-	d := r.dom
 	nowNet := f.netCycle(cycle)
 	for t := f.netCycle(r.pendingMin); t <= nowNet; t++ {
 		b := r.pending.take(t)
@@ -806,14 +590,14 @@ func (f *Fabric) land(r *router, cycle uint64) {
 			}
 			r.inCount++
 			r.markIn(idx)
-			d.queued++
+			f.queued++
 		}
 		r.pending.putBack(t, b)
 	}
-	d.busyNodes |= 1 << uint(r.node)
+	f.busyNodes |= 1 << uint(r.node)
 	if r.pending.len() == 0 {
 		r.pendingMin = sim.Never
-		d.pendingNodes &^= 1 << uint(r.node)
+		f.pendingNodes &^= 1 << uint(r.node)
 		return
 	}
 	for t := nowNet + 1; ; t++ {
@@ -868,7 +652,7 @@ func (f *Fabric) eject(r *router, cycle uint64) {
 // gets one ejection attempt per class pass, exactly like the plain scan);
 // it reports whether a packet was popped. A successful Deliver is the
 // ejection commit: ownership passes to the endpoint, which releases the
-// packet to its domain pool at its final consumption point.
+// packet to the fabric pool at its final consumption point.
 //
 //ar:hotpath
 func (f *Fabric) ejectQueue(r *router, ep Endpoint, idx int, cycle uint64) bool {
@@ -885,25 +669,24 @@ func (f *Fabric) ejectQueue(r *router, ep Endpoint, idx int, cycle uint64) bool 
 	// release the packet before returning — so everything the fabric still
 	// needs must be read first.
 	kind := p.Kind
-	d := r.dom
 	if !ep.Deliver(p, cycle) {
-		d.ejectStalled++
+		f.ejectStalled++
 		return false
 	}
 	q.pop()
 	r.inCount--
-	d.queued--
-	d.inflight--
+	f.queued--
+	f.inflight--
 	if q.len() == 0 {
 		r.unmarkIn(idx)
 		if r.inCount+r.injCount == 0 {
-			d.busyNodes &^= 1 << uint(r.node)
+			f.busyNodes &^= 1 << uint(r.node)
 		}
 	}
 	f.updateHead(r, idx)
 	f.returnCredit(r, idx/f.Cfg.VCs, idx%f.Cfg.VCs)
-	d.Delivered++
-	d.counters.IncH(d.deliveredH[kind])
+	f.Delivered++
+	f.Counters.IncH(f.deliveredH[kind])
 	return true
 }
 
@@ -992,7 +775,6 @@ func (f *Fabric) tryForward(r *router, out, idx int, l link, cycle uint64, nin i
 		return false
 	}
 	// Transmit.
-	d := r.dom
 	q.pop()
 	if q.len() == 0 {
 		r.unmarkIn(idx)
@@ -1005,90 +787,41 @@ func (f *Fabric) tryForward(r *router, out, idx int, l link, cycle uint64, nin i
 		f.returnCredit(r, idx/f.Cfg.VCs, idx%f.Cfg.VCs)
 	}
 	if r.inCount+r.injCount == 0 {
-		d.busyNodes &^= 1 << uint(r.node)
+		f.busyNodes &^= 1 << uint(r.node)
 	}
-	d.queued--
+	f.queued--
 	r.credits[out*f.Cfg.VCs+vc]--
 	ser := uint64((p.Size + f.Cfg.LinkBandwidth - 1) / f.Cfg.LinkBandwidth)
 	busy := ser * f.Cfg.ClockDiv
 	r.linkBusy[out] = cycle + busy
 	arrive := cycle + (ser+f.Cfg.LinkLatency+f.Cfg.RouterDelay)*f.Cfg.ClockDiv
 	p.Hops++
-	d.HopBytes += uint64(p.Size)
+	f.HopBytes += uint64(p.Size)
 	if ser+f.Cfg.LinkLatency+f.Cfg.RouterDelay >= f.wheelHorizon {
 		panic("network: arrival beyond wheel horizon")
 	}
 	peer := f.routers[l.peer]
-	a := arrival{p: p, port: l.peerPort, vc: vc, cycle: arrive}
-	if peer.dom == d {
-		peer.pending.push(f.netCycle(arrive), a)
-		if arrive < peer.pendingMin {
-			peer.pendingMin = arrive
-		}
-		d.pendingNodes |= 1 << uint(l.peer)
-	} else {
-		// Cross-domain wire: stage for the serial commit. The arrival is
-		// strictly in the future (>= one network cycle of wire latency), so
-		// committing at the barrier preserves the sequential landing cycle
-		// and — with one upstream router per (dest, port) — the per-edge
-		// FIFO order.
-		d.stagedPushes = append(d.stagedPushes, stagedPush{node: int32(l.peer), t: f.netCycle(arrive), a: a}) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
+	peer.pending.push(f.netCycle(arrive), arrival{p: p, port: l.peerPort, vc: vc, cycle: arrive})
+	if arrive < peer.pendingMin {
+		peer.pendingMin = arrive
 	}
+	f.pendingNodes |= 1 << uint(l.peer)
 	r.rrPort = (idx + 1) % nin
 	return true
 }
 
 // returnCredit gives a buffer slot back to the upstream router feeding
-// (port, vc) at r. The return is deferred: same-domain credits apply at the
-// start of the domain's next tick and cross-domain credits at the serial
-// commit — both visible at the next network cycle, modeling a 1-cycle
-// credit turnaround and keeping per-router ticks independent within a
-// cycle.
+// (port, vc) at r. The return is deferred to the start of the next network
+// cycle's tick, modeling a 1-cycle credit turnaround: a slot freed this
+// cycle is never reused by an upstream router that forwards later in the
+// same cycle, whatever the router visit order.
 func (f *Fabric) returnCredit(r *router, port, vc int) {
 	up := r.up[port]
 	if up.node < 0 {
 		return
 	}
-	ref := credRef{node: int32(up.node), idx: int32(up.port*f.Cfg.VCs + vc)}
-	d := r.dom
-	if f.routers[up.node].dom == d {
-		d.pendingCredits = append(d.pendingCredits, ref) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
-	} else {
-		d.stagedCredits = append(d.stagedCredits, ref) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
-	}
+	f.pendingCredits = append(f.pendingCredits, credRef{node: int32(up.node), idx: int32(up.port*f.Cfg.VCs + vc)}) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
 }
-
-// StagedWork reports whether any domain holds staged cross-domain effects
-// (the serial commit's idle hint).
-func (f *Fabric) StagedWork() bool {
-	for _, d := range f.doms {
-		if len(d.stagedPushes) > 0 || len(d.stagedCredits) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Segment is the per-domain scheduler handle of a sharded fabric: one
-// Segment per domain registers with that domain's shard, ticking the
-// domain's routers and carrying its idle hint and waker.
-type Segment struct {
-	f *Fabric
-	d *domain
-}
-
-// Segment returns the scheduler handle for domain i.
-func (f *Fabric) Segment(i int) *Segment { return &Segment{f: f, d: f.doms[i]} }
-
-// Tick advances the segment's domain by one simulator cycle.
-func (s *Segment) Tick(cycle uint64) { s.f.tickDomain(s.d, cycle) }
-
-// NextWork implements sim.Idler for the domain.
-func (s *Segment) NextWork(now uint64) uint64 { return s.f.domainNextWork(s.d, now) }
-
-// SetWaker implements sim.WakeSetter: Inject at an owned node and the
-// serial push commit wake the domain.
-func (s *Segment) SetWaker(w *sim.Waker) { s.d.waker = w }
 
 // DebugQueues renders non-empty queue occupancy with head packet info
 // (debug tooling).

@@ -4,25 +4,17 @@ import (
 	"repro/internal/sim"
 )
 
-// Checkpoint support. A fabric snapshots only when fully drained with no
-// staged cross-domain effects (SnapshotReady), so queues, arrival wheels
-// and staging buffers are all empty and the surviving state is per-router
-// arbitration/link-timing state plus the accounting counters.
+// Checkpoint support. A fabric snapshots only when fully drained
+// (Drained), so queues and arrival wheels are all empty and the
+// surviving state is per-router arbitration/link-timing state plus the
+// accounting counters.
 //
 // Credits are encoded at their effective value: a drained fabric has
-// returned every downstream slot, but same-domain returns sit in
-// pendingCredits until the domain's next tick — the encoder folds those in
-// without mutating live state, and restore starts with the deferral queue
-// empty, which is behaviorally identical (deferred credits would apply
-// before any phase of the next tick anyway).
-//
-// Per-domain counters are encoded as merged totals and restored into
-// domain 0. Every cross-domain merge in the collection path is a
-// commutative sum, so a snapshot taken under one kernel partition restores
-// exactly under another (sequential <-> sharded).
-
-// SnapshotReady reports whether the fabric is in a checkpointable state.
-func (f *Fabric) SnapshotReady() bool { return f.Drained() && !f.StagedWork() }
+// returned every downstream slot, but returns sit in pendingCredits until
+// the next network cycle's tick — the encoder folds those in without
+// mutating live state, and restore starts with the deferral queue empty,
+// which is behaviorally identical (deferred credits would apply before any
+// phase of the next tick anyway).
 
 // Snapshot implements sim.Snapshotter for a drained fabric.
 func (f *Fabric) Snapshot(e *sim.Enc) {
@@ -36,13 +28,8 @@ func (f *Fabric) Snapshot(e *sim.Enc) {
 	for i, r := range f.routers {
 		eff[i] = append([]int(nil), r.credits...)
 	}
-	for _, d := range f.doms {
-		for _, c := range d.pendingCredits {
-			eff[c.node][c.idx]++
-		}
-		for _, c := range d.stagedCredits {
-			eff[c.node][c.idx]++
-		}
+	for _, c := range f.pendingCredits {
+		eff[c.node][c.idx]++
 	}
 	for i, r := range f.routers {
 		e.Int(r.ports)
@@ -55,33 +42,20 @@ func (f *Fabric) Snapshot(e *sim.Enc) {
 		}
 	}
 
-	// Accounting, merged across domains (commutative sums).
-	var hopBytes, delivered, injected, ejectStalled, nextID uint64
-	var movement [4]uint64
-	for _, d := range f.doms {
-		hopBytes += d.HopBytes
-		delivered += d.Delivered
-		injected += d.Injected
-		ejectStalled += d.ejectStalled
-		nextID += d.nextID
-		movement[0] += d.Movement.NormReq
-		movement[1] += d.Movement.NormResp
-		movement[2] += d.Movement.ActiveReq
-		movement[3] += d.Movement.ActiveResp
-	}
-	e.U64(hopBytes)
-	e.U64(delivered)
-	e.U64(injected)
-	e.U64(ejectStalled)
-	e.U64(nextID)
-	for _, m := range movement {
-		e.U64(m)
-	}
-	f.MergedCounters().Snapshot(e)
+	e.U64(f.HopBytes)
+	e.U64(f.Delivered)
+	e.U64(f.Injected)
+	e.U64(f.ejectStalled)
+	e.U64(f.nextID)
+	e.U64(f.Movement.NormReq)
+	e.U64(f.Movement.NormResp)
+	e.U64(f.Movement.ActiveReq)
+	e.U64(f.Movement.ActiveResp)
+	f.Counters.Snapshot(e)
 }
 
 // Restore implements sim.Snapshotter for a freshly constructed (traffic-
-// free) fabric, possibly partitioned differently from the snapshot source.
+// free) fabric.
 func (f *Fabric) Restore(d *sim.Dec) {
 	d.Tag("fabric")
 	if n := d.Int(); d.Err() == nil && n != len(f.routers) {
@@ -114,15 +88,14 @@ func (f *Fabric) Restore(d *sim.Dec) {
 			r.credits[i] = cr
 		}
 	}
-	d0 := f.doms[0]
-	d0.HopBytes = d.U64()
-	d0.Delivered = d.U64()
-	d0.Injected = d.U64()
-	d0.ejectStalled = d.U64()
-	d0.nextID = d.U64()
-	d0.Movement.NormReq = d.U64()
-	d0.Movement.NormResp = d.U64()
-	d0.Movement.ActiveReq = d.U64()
-	d0.Movement.ActiveResp = d.U64()
-	d0.counters.Restore(d)
+	f.HopBytes = d.U64()
+	f.Delivered = d.U64()
+	f.Injected = d.U64()
+	f.ejectStalled = d.U64()
+	f.nextID = d.U64()
+	f.Movement.NormReq = d.U64()
+	f.Movement.NormResp = d.U64()
+	f.Movement.ActiveReq = d.U64()
+	f.Movement.ActiveResp = d.U64()
+	f.Counters.Restore(d)
 }

@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/sweep"
 	"repro/internal/system"
@@ -82,14 +81,6 @@ type Options struct {
 	Workers int
 	// Shards sets the cache shard count; 0 means 16.
 	Shards int
-	// SimShards, when non-zero, runs jobs that did not pin a kernel on the
-	// sharded simulation kernel with this shard count; system.KernelAuto
-	// (-1) resolves per job at acquisition time (system.ResolveKernel,
-	// currently always the sequential kernel). Results are bit-identical
-	// either way (the config hash ignores the kernel choice), and each
-	// sharded job accounts for its resolved worker count against the
-	// shared budget.
-	SimShards int
 	// Store, when non-nil, is the durable result store: every record it
 	// holds at construction warm-loads into the cache (a restarted daemon
 	// serves previously computed jobs with zero re-simulation), and every
@@ -136,7 +127,6 @@ type Server struct {
 	snaps      *store.Store
 	exec       Executor
 	start      time.Time
-	simShards  int
 	jobTimeout time.Duration
 	maxQueue   int
 	draining   atomic.Bool
@@ -156,9 +146,6 @@ type Server struct {
 	storeFails  uint64 // write-through Put failures (results still served)
 	sweepForks  uint64 // sweep points resumed from a shared-prefix checkpoint
 	sweepWarm   uint64 // sweep leaders warm-started from the snapshot store
-	// Sharded-conductor scheduling counters, accumulated across every
-	// sharded simulation this server completed.
-	sched sim.SchedCounters
 }
 
 // New builds a server. When opts.Store is set, every decodable record it
@@ -174,13 +161,12 @@ func New(opts Options) *Server {
 		store:      opts.Store,
 		snaps:      opts.Snapshots,
 		start:      time.Now(),
-		simShards:  opts.SimShards,
 		jobTimeout: opts.JobTimeout,
 		maxQueue:   opts.MaxQueue,
 	}
 	s.exec = opts.Executor
 	if s.exec == nil {
-		s.exec = &Local{Budget: s.budget, SimShards: s.simShards, Observer: (*serverObserver)(s)}
+		s.exec = &Local{Budget: s.budget, Observer: (*serverObserver)(s)}
 	}
 	if s.store != nil {
 		s.store.Range(func(key string, value []byte) bool {
@@ -228,11 +214,6 @@ func (s *Server) Run(ctx context.Context, job Job) (*system.Results, bool, error
 // runNormalized is Run past the request gate; job must already be
 // normalized (the HTTP handler normalizes once and calls this directly).
 func (s *Server) runNormalized(ctx context.Context, job Job) (*system.Results, bool, error) {
-	if s.simShards != 0 && job.Config.Shards == 0 {
-		cfg := *job.Config // never mutate the caller's config
-		cfg.Shards = s.simShards
-		job.Config = &cfg
-	}
 	key := job.Key()
 	// Load shedding happens before the cache entry is created, and only for
 	// requests that cannot be resolved by an existing (completed or
@@ -305,15 +286,10 @@ func (o *serverObserver) JobStarted() {
 	s.mu.Unlock()
 }
 
-func (o *serverObserver) JobCompleted(sc sim.SchedCounters) {
+func (o *serverObserver) JobCompleted() {
 	s := (*Server)(o)
 	s.mu.Lock()
 	s.done++
-	s.sched.WavesRun += sc.WavesRun
-	s.sched.WavesFused += sc.WavesFused
-	s.sched.WavesSkipped += sc.WavesSkipped
-	s.sched.BarriersElided += sc.BarriersElided
-	s.sched.ParkEvents += sc.ParkEvents
 	s.mu.Unlock()
 }
 
@@ -445,12 +421,6 @@ type Stats struct {
 	// supervision); absent in single-process mode.
 	Cluster *ClusterStats `json:"cluster,omitempty"`
 
-	// Sharded-conductor scheduling totals across every sharded simulation
-	// this server completed (sim.SchedCounters): how much per-cycle
-	// coordination the wave scheduler actually paid vs. fused, skipped, or
-	// elided — overhead made observable, not inferred.
-	Sched sim.SchedCounters `json:"sched"`
-
 	// Allocation/GC gauges (runtime.MemStats snapshots) so operators can
 	// watch the simulator's memory discipline in production: with the
 	// pooled packet/message lifecycle the per-simulation allocation rate
@@ -479,7 +449,6 @@ func (s *Server) Stats() Stats {
 
 		SweepForkResumes: s.sweepForks,
 		SweepWarmStarts:  s.sweepWarm,
-		Sched:            s.sched,
 	}
 	storeBad := s.storeBadRec
 	st.StoreRecordsLoaded = s.storeLoaded

@@ -224,36 +224,3 @@ func TestFigureHTTP(t *testing.T) {
 		t.Error("unknown figure id: expected error")
 	}
 }
-
-// TestSimShardsKernelTransparent pins two contracts of the sharded-kernel
-// daemon option: results served off the sharded kernel are bit-identical
-// to direct sequential runs, and the kernel choice never fragments the
-// cache — a sequential re-request of the same job is a pure hit.
-func TestSimShardsKernelTransparent(t *testing.T) {
-	s := service.New(service.Options{Workers: 4, SimShards: 2})
-	job := service.Job{Workload: "mac", Scheme: system.SchemeARFtid, Scale: workload.ScaleTiny}
-	res, hit, err := s.Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit {
-		t.Fatal("first run reported a cache hit")
-	}
-	if want := direct(t, system.SchemeARFtid, "mac"); !reflect.DeepEqual(res, want) {
-		t.Fatal("sharded-kernel served result differs from a direct sequential run")
-	}
-	// The same job with an explicitly sequential config must hit the cache:
-	// Shards/Workers are excluded from the key.
-	cfg := system.DefaultConfig(system.SchemeARFtid)
-	seqJob := service.Job{Workload: "mac", Scheme: system.SchemeARFtid, Scale: workload.ScaleTiny, Config: &cfg}
-	res2, hit2, err := s.Run(context.Background(), seqJob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hit2 {
-		t.Fatal("sequential re-request of a sharded-kernel result missed the cache")
-	}
-	if !reflect.DeepEqual(res2, res) {
-		t.Fatal("cache returned a different result")
-	}
-}

@@ -70,10 +70,8 @@ type Idler interface {
 	NextWork(now uint64) uint64
 }
 
-// wakeTable is the wake-state shared between the Waker handle and its
-// owning scheduler (the lockstep Engine or one Shard of the sharded
-// kernel): the cached-idle array, the active bitmask, and — for shards —
-// the per-segment work horizon a wake must also reset.
+// wakeTable is the wake-state shared between the Waker handles and the
+// Engine: the cached-idle array and the active bitmask.
 type wakeTable struct {
 	// wakeAt[i] caches slot i's last future NextWork result (wake-aware
 	// components only): while cycle < wakeAt[i] the scheduler skips the
@@ -86,18 +84,6 @@ type wakeTable struct {
 	// when their cached cycle arrives. Iterating set bits ascending
 	// preserves registration (tick) order exactly.
 	active []uint64
-	// segOf/segNext (sharded kernel only, nil on the Engine): segOf[i] is
-	// the wave segment slot i belongs to, segNext[s] the earliest cycle at
-	// which segment s can have work — the conductor skips a whole wave (and
-	// its barrier) while every shard's segment horizon is in the future.
-	segOf   []int32
-	segNext []uint64
-	// condNeed (single-worker sharded kernel only) aliases the conductor's
-	// per-wave need aggregate: a wake must also invalidate the aggregate,
-	// or the conductor's wave-skip check would miss the woken shard. It is
-	// installed only when every wake runs on the conductor goroutine (one
-	// effective worker), so plain stores suffice.
-	condNeed []uint64
 }
 
 // Waker is the scheduler-side handle a wake-aware component uses to
@@ -117,13 +103,6 @@ func (w *Waker) Wake() {
 		t := w.t
 		t.wakeAt[w.idx] = 0
 		t.active[w.idx>>6] |= 1 << uint(w.idx&63)
-		if t.segOf != nil {
-			sg := t.segOf[w.idx]
-			t.segNext[sg] = 0
-			if t.condNeed != nil {
-				t.condNeed[sg] = 0
-			}
-		}
 	}
 }
 
@@ -145,9 +124,6 @@ type slot struct {
 	t         Ticker
 	i         Idler
 	cacheable bool
-	// parkable (sharded kernel, set at Seal) folds `cacheable ||
-	// shard.eventCleared` into one load for the per-slot poll branch.
-	parkable bool
 }
 
 // Engine owns the global clock and the ordered set of tickers.
@@ -155,7 +131,7 @@ type Engine struct {
 	cycle uint64
 	slots []slot
 	// wakeTable holds the wakeAt cache and active bitmask shared with the
-	// Waker handles this engine hands out (segOf/segNext stay nil).
+	// Waker handles this engine hands out.
 	wakeTable
 	// minWake is the earliest cached wakeAt among inactive slots; when the
 	// clock reaches it the engine sweeps wakeAt to re-activate due slots.

@@ -45,12 +45,24 @@ func TestEngineRunUntilTimeout(t *testing.T) {
 	}
 }
 
+// timer is an idler whose only work is a tick every interval cycles.
+type timer uint64
+
+func (p timer) NextWork(now uint64) uint64 {
+	if r := now % uint64(p); r != 0 {
+		return now + uint64(p) - r
+	}
+	return now
+}
+
+func (timer) Tick(uint64) {}
+
 // TestEngineTimeoutErrorStructure checks the timeout error is typed and
 // lists non-quiescent components with their NextWork hints.
 func TestEngineTimeoutErrorStructure(t *testing.T) {
 	e := NewEngine()
 	e.Register("spinner", TickFunc(func(uint64) {}))
-	e.Register("timer", &pinger{interval: 1000, until: 1 << 50})
+	e.Register("timer", timer(1000))
 	_, err := e.RunUntil(func() bool { return false }, 7)
 	var te *TimeoutError
 	if !errors.As(err, &te) {

@@ -23,7 +23,7 @@ type PendingWork struct {
 // snapshot stays available on the TimeoutError value.
 const maxPendingReport = 8
 
-// TimeoutError is the structured "no completion" error both kernels return
+// TimeoutError is the structured "no completion" error the engine returns
 // when RunUntil exhausts its cycle budget. The message keeps the historical
 // "sim: no completion after %d cycles (deadlock or undersized budget)"
 // prefix and appends a per-component pending-work snapshot so a deadlocked
@@ -69,7 +69,7 @@ func (e *TimeoutError) Error() string {
 	return b.String()
 }
 
-// appendPending collects one scheduler domain's non-quiescent slots.
+// appendPending collects the engine's non-quiescent slots.
 // NextWork is side-effect-free by the Idler contract, so probing every slot
 // (including parked wake-aware ones) cannot change simulated state; slots
 // without an idle hint are always potentially busy and report now.
@@ -88,9 +88,7 @@ func appendPending(dst []PendingWork, slots []slot, names []string, now uint64) 
 }
 
 // newTimeoutError finalizes a snapshot. Sorting by name makes the error
-// independent of the kernel's internal slot layout, so the sequential and
-// sharded kernels produce the identical structured error for the same
-// machine state (asserted by TestShardedTimeoutParity).
+// independent of the registration order.
 func newTimeoutError(pending []PendingWork, maxCycles, cycle uint64) *TimeoutError {
 	sort.Slice(pending, func(i, j int) bool {
 		if pending[i].Name != pending[j].Name {
@@ -104,21 +102,4 @@ func newTimeoutError(pending []PendingWork, maxCycles, cycle uint64) *TimeoutErr
 // timeoutError snapshots the engine's pending work at the current clock.
 func (e *Engine) timeoutError(maxCycles uint64) *TimeoutError {
 	return newTimeoutError(appendPending(nil, e.slots, e.names, e.cycle), maxCycles, e.cycle)
-}
-
-// timeoutError snapshots pending work across every shard. It runs on the
-// conductor while the workers are parked at the hand-off spin (they only
-// touch shard state between a gen bump and their doneCnt add), so the reads
-// are race-free.
-func (s *Sharded) timeoutError(maxCycles uint64) *TimeoutError {
-	var p []PendingWork
-	for _, sh := range s.par {
-		p = appendPending(p, sh.slots, sh.names, s.cycle)
-	}
-	for _, sh := range s.serial {
-		if sh != nil {
-			p = appendPending(p, sh.slots, sh.names, s.cycle)
-		}
-	}
-	return newTimeoutError(p, maxCycles, s.cycle)
 }

@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -30,43 +29,12 @@ func TestPanickingJobReleasesSlots(t *testing.T) {
 	// The budget must still hand out its full capacity.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	got, err := b.AcquireN(ctx, 2)
-	if err != nil || got != 2 {
-		t.Fatalf("AcquireN after panic = (%d, %v), want (2, nil)", got, err)
+	for i := 0; i < b.Cap(); i++ {
+		if err := b.Acquire(ctx); err != nil {
+			t.Fatalf("Acquire %d of %d after panic: %v", i+1, b.Cap(), err)
+		}
 	}
-	b.ReleaseN(got)
-}
-
-// TestPanickingWeightedJobReleasesAllSlots is the multi-slot variant: a
-// sharded job holding several slots panics and every slot must come back —
-// a partial release would shrink the budget for every later pool run.
-func TestPanickingWeightedJobReleasesAllSlots(t *testing.T) {
-	b := NewBudget(4)
-	var mu sync.Mutex
-	ran := map[int]bool{}
-	err := RunWeightedJobsOn(context.Background(), 3, b,
-		func(i int) int { return 2 },
-		func(ctx context.Context, i int) error {
-			mu.Lock()
-			ran[i] = true
-			mu.Unlock()
-			if i == 0 {
-				panic("weighted boom")
-			}
-			return nil
-		})
-	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("err = %v, want job-panicked error", err)
-	}
-	mu.Lock()
-	if !ran[0] {
-		t.Fatal("panicking job never ran")
-	}
-	mu.Unlock()
-	if got := b.InUse(); got != 0 {
-		t.Fatalf("budget leaked %d slots after weighted panic", got)
-	}
-	if got, err := b.AcquireN(context.Background(), 4); err != nil || got != 4 {
-		t.Fatalf("AcquireN(4) after panic = (%d, %v), want full capacity back", got, err)
+	for i := 0; i < b.Cap(); i++ {
+		b.Release()
 	}
 }

@@ -16,8 +16,6 @@ import (
 // how many acquirers are blocked waiting, which the service layer surfaces
 // as in-flight/queue-depth statistics.
 type Budget struct {
-	// multi serializes AcquireN calls (see AcquireN's deadlock note).
-	multi   sync.Mutex
 	sem     chan struct{}
 	inUse   atomic.Int64
 	waiting atomic.Int64
@@ -67,48 +65,14 @@ func (b *Budget) Release() {
 	<-b.sem
 }
 
-// AcquireN obtains n slots for one weighted job — a sharded simulation
-// consuming w workers holds w slots, so the daemon's total hardware-thread
-// use stays bounded by one budget regardless of kernel choice. n is
-// clamped to [1, Cap]; multi-acquires serialize against each other (a
-// mutex) so two weighted jobs can never deadlock splitting the pool. The
-// returned count is what the caller must ReleaseN.
-func (b *Budget) AcquireN(ctx context.Context, n int) (int, error) {
-	if n > cap(b.sem) {
-		n = cap(b.sem)
-	}
-	if n <= 1 {
-		if err := b.Acquire(ctx); err != nil {
-			return 0, err
-		}
-		return 1, nil
-	}
-	b.multi.Lock()
-	defer b.multi.Unlock()
-	for i := 0; i < n; i++ {
-		if err := b.Acquire(ctx); err != nil {
-			b.ReleaseN(i)
-			return 0, err
-		}
-	}
-	return n, nil
-}
-
-// ReleaseN returns n slots obtained by AcquireN.
-func (b *Budget) ReleaseN(n int) {
-	for i := 0; i < n; i++ {
-		b.Release()
-	}
-}
-
-// runGuarded runs job i holding got budget slots, releasing them on every
+// runGuarded runs job i holding one budget slot, releasing it on every
 // exit path — including a panicking job function. Without the recover, a
-// panic would unwind past the release and leak the slots: every subsequent
-// pool run sharing the budget would be permanently down got workers (and a
-// cap-sized leak deadlocks the budget outright). The panic is converted to
+// panic would unwind past the release and leak the slot: every subsequent
+// pool run sharing the budget would be permanently down a worker (and
+// enough leaks deadlock the budget outright). The panic is converted to
 // an ordinary job error so the pool's fail-fast path cancels the rest.
-func runGuarded(ctx context.Context, i, got int, b *Budget, run func(ctx context.Context, i int) error) (err error) {
-	defer b.ReleaseN(got)
+func runGuarded(ctx context.Context, i int, b *Budget, run func(ctx context.Context, i int) error) (err error) {
+	defer b.Release()
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("sweep: job %d panicked: %v", i, r)
@@ -139,18 +103,6 @@ func RunJobs(ctx context.Context, n, workers int, run func(ctx context.Context, 
 // storage: distinct indices never alias, so no locking is needed and result
 // order is deterministic regardless of scheduling.
 func RunJobsOn(ctx context.Context, n int, b *Budget, run func(ctx context.Context, i int) error) error {
-	return RunWeightedJobsOn(ctx, n, b, nil, run)
-}
-
-// RunWeightedJobsOn is RunJobsOn for jobs with heterogeneous worker
-// appetites: weight(i) reports how many budget slots job i occupies while
-// running — a sharded simulation's *resolved* worker count, so one
-// 4-worker job takes the same budget share as four sequential jobs and the
-// combined hardware-thread use stays bounded by the cap regardless of
-// kernel mix. Weights are clamped by AcquireN to [1, Cap]; a nil weight
-// means one slot per job (RunJobsOn). Everything else — pull order,
-// fail-fast cancellation, error preference — matches RunJobsOn.
-func RunWeightedJobsOn(ctx context.Context, n int, b *Budget, weight func(i int) int, run func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -181,17 +133,11 @@ func RunWeightedJobsOn(ctx context.Context, n int, b *Budget, weight func(i int)
 					errs[i] = err
 					continue
 				}
-				want := 1
-				if weight != nil {
-					want = weight(i)
-				}
-				got, err := b.AcquireN(ctx, want)
-				if err != nil {
+				if err := b.Acquire(ctx); err != nil {
 					errs[i] = err
 					continue
 				}
-				err = runGuarded(ctx, i, got, b, run)
-				if err != nil {
+				if err := runGuarded(ctx, i, b, run); err != nil {
 					errs[i] = err
 					cancel()
 				}

@@ -76,58 +76,9 @@ func TestBudgetAcquireHonorsCancel(t *testing.T) {
 	}
 }
 
-// TestBudgetAcquireN pins the weighted-job contract: AcquireN holds n
-// slots (clamped to the cap), concurrent weighted acquires never
-// deadlock, and ReleaseN restores the budget.
-func TestBudgetAcquireN(t *testing.T) {
-	b := NewBudget(4)
-	ctx := context.Background()
-	held, err := b.AcquireN(ctx, 3)
-	if err != nil || held != 3 {
-		t.Fatalf("AcquireN(3) = %d, %v", held, err)
-	}
-	if b.InUse() != 3 {
-		t.Fatalf("InUse = %d, want 3", b.InUse())
-	}
-	// An oversized request clamps to the cap rather than deadlocking.
-	done := make(chan int)
-	go func() {
-		h, err := b.AcquireN(ctx, 99)
-		if err != nil {
-			t.Error(err)
-		}
-		done <- h
-	}()
-	b.ReleaseN(3)
-	if h := <-done; h != 4 {
-		t.Fatalf("oversized AcquireN held %d, want cap 4", h)
-	}
-	b.ReleaseN(4)
-	if b.InUse() != 0 {
-		t.Fatalf("InUse = %d after release, want 0", b.InUse())
-	}
-	// Two concurrent weighted acquires over a small budget make progress.
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; k < 50; k++ {
-				h, err := b.AcquireN(ctx, 3)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				b.ReleaseN(h)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // TestBudgetAcquireCancellation pins the slot-release guarantee the service
-// layer's per-job deadlines rely on: an Acquire or AcquireN blocked on a
-// full budget returns promptly when its context is cancelled, drains the
+// layer's per-job deadlines rely on: Acquires blocked on a full budget
+// return promptly when its context is cancelled, drains the
 // waiting gauge, and leaks no slots — the full capacity is reacquirable
 // afterwards. Run under -race this also exercises the waiter accounting.
 func TestBudgetAcquireCancellation(t *testing.T) {
@@ -139,24 +90,13 @@ func TestBudgetAcquireCancellation(t *testing.T) {
 		}
 	}
 
-	// A blocked single Acquire and a blocked weighted AcquireN, each with
-	// its own cancellable context.
-	type result struct {
-		held int
-		err  error
-	}
+	// Two blocked Acquires, each with its own cancellable context.
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	res1 := make(chan result, 1)
-	res2 := make(chan result, 1)
-	go func() {
-		err := b.Acquire(ctx1)
-		res1 <- result{1, err}
-	}()
-	go func() {
-		h, err := b.AcquireN(ctx2, 2)
-		res2 <- result{h, err}
-	}()
+	res1 := make(chan error, 1)
+	res2 := make(chan error, 1)
+	go func() { res1 <- b.Acquire(ctx1) }()
+	go func() { res2 <- b.Acquire(ctx2) }()
 
 	// Wait until both are visibly queued, then cancel.
 	deadline := time.Now().Add(5 * time.Second)
@@ -168,11 +108,11 @@ func TestBudgetAcquireCancellation(t *testing.T) {
 	}
 	cancel1()
 	cancel2()
-	for _, ch := range []chan result{res1, res2} {
+	for _, ch := range []chan error{res1, res2} {
 		select {
-		case r := <-ch:
-			if !errors.Is(r.err, context.Canceled) {
-				t.Fatalf("cancelled acquire returned err=%v, want context.Canceled", r.err)
+		case err := <-ch:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled acquire returned err=%v, want context.Canceled", err)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("cancelled acquire did not return promptly")
@@ -183,72 +123,19 @@ func TestBudgetAcquireCancellation(t *testing.T) {
 	}
 
 	// No slots leaked: release the original holders and reacquire the full
-	// capacity, both singly and weighted.
+	// capacity.
 	for i := 0; i < cap; i++ {
 		b.Release()
 	}
 	if got := b.InUse(); got != 0 {
 		t.Fatalf("InUse = %d after release, want 0", got)
 	}
-	h, err := b.AcquireN(context.Background(), cap)
-	if err != nil || h != cap {
-		t.Fatalf("AcquireN after cancellation: held %d err %v, want full cap %d", h, err, cap)
+	for i := 0; i < cap; i++ {
+		if err := b.Acquire(context.Background()); err != nil {
+			t.Fatalf("Acquire %d of %d after cancellation: %v", i+1, cap, err)
+		}
 	}
-	b.ReleaseN(h)
-}
-
-// TestRunWeightedJobsOnBoundsSlots is the regression test for the budget
-// ignoring per-job shard weight: a weighted job must hold its full worker
-// count while running, so total held slots — not just job count — stays
-// bounded by the cap. Before weighted dispatch, four 2-worker jobs on a
-// 4-slot budget could run all at once (8 hardware threads on 4 slots).
-func TestRunWeightedJobsOnBoundsSlots(t *testing.T) {
-	const cap = 4
-	const weight = 2
-	b := NewBudget(cap)
-	var held, peak atomic.Int64
-	err := RunWeightedJobsOn(context.Background(), 8, b, func(int) int { return weight },
-		func(ctx context.Context, i int) error {
-			n := held.Add(weight)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			held.Add(-weight)
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p > cap {
-		t.Errorf("peak held slots %d exceeded budget cap %d", p, cap)
-	}
-	if got := b.InUse(); got != 0 {
-		t.Errorf("budget InUse = %d after drain, want 0", got)
-	}
-}
-
-// TestRunWeightedJobsOnClampsOversizedWeight pins AcquireN's clamp: a job
-// declaring more workers than the budget holds still runs (with the whole
-// budget), rather than deadlocking or erroring.
-func TestRunWeightedJobsOnClampsOversizedWeight(t *testing.T) {
-	b := NewBudget(2)
-	ran := 0
-	err := RunWeightedJobsOn(context.Background(), 3, b, func(int) int { return 16 },
-		func(ctx context.Context, i int) error {
-			ran++
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ran != 3 {
-		t.Errorf("ran %d jobs, want 3", ran)
-	}
-	if got := b.InUse(); got != 0 {
-		t.Errorf("budget InUse = %d after drain, want 0", got)
+	for i := 0; i < cap; i++ {
+		b.Release()
 	}
 }

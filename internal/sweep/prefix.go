@@ -95,15 +95,9 @@ func RunPrefixShared(ctx context.Context, g Grid, b *Budget, snaps *store.Store)
 		for _, mut := range j.mutators {
 			mut(&cfg)
 		}
-		if g.SimShards != 0 && cfg.Shards == 0 {
-			cfg.Shards = g.SimShards
-		}
 		if err := cfg.Validate(); err != nil {
 			return nil, nil, fmt.Errorf("sweep %s point %v %s/%s: %w", g.Name, j.coords, j.scheme, j.wl, err)
 		}
-		// Resolve before keying: Shards/Workers are hash- and prefix-
-		// invariant, and the resolved value weights budget acquisition.
-		system.ResolveKernel(&cfg, b.Cap())
 		cfgs[i] = cfg
 	}
 
@@ -141,8 +135,7 @@ func RunPrefixShared(ctx context.Context, g Grid, b *Budget, snaps *store.Store)
 	// the phase needs no locking; per-family outcome flags are summed after
 	// the pool drains (deterministic, no atomics).
 	warm := make([]bool, len(fams))
-	leaderWeight := func(fi int) int { return cfgs[fams[fi].members[0]].ResolvedWorkers() }
-	err := RunWeightedJobsOn(ctx, len(fams), b, leaderWeight, func(ctx context.Context, fi int) error {
+	err := RunJobsOn(ctx, len(fams), b, func(ctx context.Context, fi int) error {
 		f := fams[fi]
 		i := f.members[0]
 		j := jobs[i]
@@ -218,8 +211,7 @@ func RunPrefixShared(ctx context.Context, g Grid, b *Budget, snaps *store.Store)
 		}
 	}
 	resumed := make([]bool, len(forks))
-	forkWeight := func(k int) int { return cfgs[forks[k]].ResolvedWorkers() }
-	err = RunWeightedJobsOn(ctx, len(forks), b, forkWeight, func(ctx context.Context, k int) error {
+	err = RunJobsOn(ctx, len(forks), b, func(ctx context.Context, k int) error {
 		i := forks[k]
 		j := jobs[i]
 		cfg := cfgs[i]

@@ -60,13 +60,6 @@ type Grid struct {
 	Axes      []Axis
 	// Workers bounds pool parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// SimShards selects the simulation kernel for every grid point that no
-	// axis pins: 0 (default) keeps the sequential kernel,
-	// system.KernelAuto resolves per point (system.ResolveKernel, currently
-	// the sequential kernel), positive values force that shard count. Results are bit-identical in
-	// every case — the kernel choice is outside the config hash — so this
-	// only trades intra-point against run-level parallelism.
-	SimShards int
 	// PrefixCycle, when nonzero, marks the cycle up to which grid points
 	// whose configurations are prefix-compatible (system.Config.PrefixHash)
 	// provably simulate identically. RunPrefixShared checkpoints one family
@@ -175,33 +168,21 @@ func RunOn(ctx context.Context, g Grid, b *Budget) (*Result, error) {
 		}
 	}
 	jobs := g.expand()
-	// Configs are built up front so each job's budget weight — the resolved
-	// sharded worker count — is known before its slots are acquired. Auto
-	// kernel knobs resolve against the whole budget cap: with grid points
-	// outnumbering slots, run-level parallelism beats intra-run parallelism,
-	// and the weighted acquisition below keeps the combination bounded
-	// either way.
-	if b == nil {
-		b = NewBudget(0)
-	}
+	// Configs are built and validated up front, so an invalid point fails
+	// the sweep before any simulation starts.
 	cfgs := make([]system.Config, len(jobs))
 	for i, j := range jobs {
 		cfg := system.DefaultConfig(j.scheme)
 		for _, mut := range j.mutators {
 			mut(&cfg)
 		}
-		if g.SimShards != 0 && cfg.Shards == 0 {
-			cfg.Shards = g.SimShards
-		}
 		if err := cfg.Validate(); err != nil {
 			return nil, fmt.Errorf("sweep %s point %v %s/%s: %w", g.Name, j.coords, j.scheme, j.wl, err)
 		}
-		system.ResolveKernel(&cfg, b.Cap())
 		cfgs[i] = cfg
 	}
 	points := make([]Point, len(jobs))
-	weight := func(i int) int { return cfgs[i].ResolvedWorkers() }
-	err := RunWeightedJobsOn(ctx, len(jobs), b, weight, func(ctx context.Context, i int) error {
+	err := RunJobsOn(ctx, len(jobs), b, func(ctx context.Context, i int) error {
 		j := jobs[i]
 		cfg := cfgs[i]
 		sys, err := system.New(cfg, j.wl, g.Scale)
@@ -237,9 +218,7 @@ type PointRunner func(ctx context.Context, cfg *system.Config, wl string, scale 
 // determinism. parallel bounds concurrent in-flight points (<= 0 means
 // g.Workers, then GOMAXPROCS); the runner is expected to provide its own
 // backpressure (a dispatcher queues on fleet capacity), so the bound only
-// caps goroutines. Kernel knobs are left for the executing side to resolve:
-// results are bit-identical regardless (the kernel choice is outside the
-// config hash).
+// caps goroutines.
 func RunVia(ctx context.Context, g Grid, parallel int, run PointRunner) (*Result, error) {
 	if len(g.Workloads) == 0 || len(g.Schemes) == 0 {
 		return nil, fmt.Errorf("sweep %s: grid needs at least one workload and one scheme", g.Name)
@@ -255,9 +234,6 @@ func RunVia(ctx context.Context, g Grid, parallel int, run PointRunner) (*Result
 		cfg := system.DefaultConfig(j.scheme)
 		for _, mut := range j.mutators {
 			mut(&cfg)
-		}
-		if g.SimShards != 0 && cfg.Shards == 0 {
-			cfg.Shards = g.SimShards
 		}
 		if err := cfg.Validate(); err != nil {
 			return nil, fmt.Errorf("sweep %s point %v %s/%s: %w", g.Name, j.coords, j.scheme, j.wl, err)

@@ -1,7 +1,6 @@
 package system
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -125,106 +124,5 @@ func TestConfigHashDistinctFromOldSchemas(t *testing.T) {
 		} else if got == old {
 			t.Errorf("%s: hash %s collides with the v3 schema hash", s, got)
 		}
-	}
-}
-
-// TestConfigHashKernelInvariant pins the cache-key contract for the sharded
-// kernel: Shards/Workers select an execution strategy with bit-identical
-// results, so they must not fragment the result cache.
-func TestConfigHashKernelInvariant(t *testing.T) {
-	seq := DefaultConfig(SchemeARFtid)
-	sh := seq
-	sh.Shards, sh.Workers = 4, 4
-	if seq.Hash() != sh.Hash() {
-		t.Fatalf("sharded config hash %s differs from sequential %s", sh.Hash(), seq.Hash())
-	}
-}
-
-// TestResolveKernelAuto pins the auto-tune resolution rules: auto shards
-// pick the sequential kernel whatever the host offers (the sharded kernel
-// has not won on any measured host); concrete values pass through
-// untouched; auto workers with concrete shards track GOMAXPROCS, capped by
-// the slots bound (free budget capacity) and the shard count.
-func TestResolveKernelAuto(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-
-	cfg := DefaultConfig(SchemeARFtid)
-	cfg.Shards, cfg.Workers = KernelAuto, KernelAuto
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("auto knobs must validate: %v", err)
-	}
-
-	// Auto shards: sequential at any slot bound on an 8-proc host.
-	for _, slots := range []int{0, 1, 4} {
-		c := cfg
-		ResolveKernel(&c, slots)
-		if c.Shards != 0 || c.Workers != 0 {
-			t.Fatalf("slots=%d: resolved to Shards=%d Workers=%d, want sequential", slots, c.Shards, c.Workers)
-		}
-	}
-
-	// Concrete values pass through.
-	c := cfg
-	c.Shards, c.Workers = 2, 1
-	ResolveKernel(&c, 0)
-	if c.Shards != 2 || c.Workers != 1 {
-		t.Fatalf("concrete knobs mutated: Shards=%d Workers=%d", c.Shards, c.Workers)
-	}
-
-	// Auto workers with concrete shards.
-	c = cfg
-	c.Shards, c.Workers = 3, KernelAuto
-	ResolveKernel(&c, 2)
-	if c.Shards != 3 || c.Workers != 2 {
-		t.Fatalf("auto workers: Shards=%d Workers=%d, want 3/2", c.Shards, c.Workers)
-	}
-	c = cfg
-	c.Shards, c.Workers = 4, KernelAuto
-	ResolveKernel(&c, 0)
-	if c.Shards != 4 || c.Workers != 4 {
-		t.Fatalf("auto workers, unconstrained: Shards=%d Workers=%d, want 4/4", c.Shards, c.Workers)
-	}
-}
-
-// TestResolvedWorkers pins the budget weight: the post-clamp pool size the
-// conductor will actually use, not the declared knobs.
-func TestResolvedWorkers(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
-	cfg := DefaultConfig(SchemeARFtid)
-	cases := []struct {
-		shards, workers, want int
-	}{
-		{0, 0, 1},                   // sequential
-		{4, 0, 4},                   // workers default to shards
-		{4, 2, 2},                   // explicit worker bound
-		{8, 16, 8},                  // workers clamp to shards
-		{KernelAuto, KernelAuto, 1}, // auto resolves to sequential
-	}
-	for _, tc := range cases {
-		c := cfg
-		c.Shards, c.Workers = tc.shards, tc.workers
-		if got := c.ResolvedWorkers(); got != tc.want {
-			t.Errorf("Shards=%d Workers=%d: ResolvedWorkers=%d, want %d", tc.shards, tc.workers, got, tc.want)
-		}
-	}
-}
-
-// TestParseKernel pins the flag grammar shared by arsim/arbench/arsweep/
-// arserved.
-func TestParseKernel(t *testing.T) {
-	if n, err := ParseKernel("auto"); err != nil || n != KernelAuto {
-		t.Errorf("ParseKernel(auto) = %d, %v", n, err)
-	}
-	if n, err := ParseKernel("4"); err != nil || n != 4 {
-		t.Errorf("ParseKernel(4) = %d, %v", n, err)
-	}
-	if n, err := ParseKernel("0"); err != nil || n != 0 {
-		t.Errorf("ParseKernel(0) = %d, %v", n, err)
-	}
-	if _, err := ParseKernel("-2"); err == nil {
-		t.Error("ParseKernel(-2) succeeded, want error")
-	}
-	if _, err := ParseKernel("many"); err == nil {
-		t.Error("ParseKernel(many) succeeded, want error")
 	}
 }

@@ -26,9 +26,9 @@ import (
 //
 // Refreshing these values is a machine-definition change: regenerate only
 // when a PR deliberately alters simulated timing, and say so in DESIGN.md.
-// Last regenerated for the sharded-kernel PR's two timing-model changes
-// (DESIGN.md "Sharded kernel"): 1-cycle credit turnaround on fabric links
-// and next-cycle barrier release.
+// Last regenerated for two timing-model changes (DESIGN.md "Timing rules
+// from the sharded-kernel trial"): 1-cycle credit turnaround on fabric
+// links and next-cycle barrier release.
 func TestGoldenCycleCounts(t *testing.T) {
 	// stalls sums four cpu.Stats counters over every core.
 	type stalls struct{ mem, offload, robFull, fence uint64 }

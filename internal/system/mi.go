@@ -34,15 +34,14 @@ type MessageInterface struct {
 	// waker invalidates the engine's cached idle hint on external input
 	// (Update/Gather from the core, OnBackInvalDone from the directory).
 	waker *sim.Waker
-	// freeHook is the core's parking hook (cpu.OffloadPort), called on every queue
-	// pop: a full queue is the only refusal.
+	// freeHook is the core's parking hook (cpu.OffloadPort), called on every
+	// queue pop: a full queue is the only refusal.
 	freeHook func()
 
 	// Stats.
-	QueriesSent  uint64
-	UpdatesSent  uint64
-	GathersSent  uint64
-	QueueFullRej uint64
+	QueriesSent uint64
+	UpdatesSent uint64
+	GathersSent uint64
 }
 
 type miEntry struct {
@@ -51,14 +50,7 @@ type miEntry struct {
 	isGather bool
 	queried  bool
 	cleared  bool
-	// lateCleared/clearedAt reproduce the sequential drain timing under the
-	// sharded kernel: a clear that arrives after the MI's tick-order slot
-	// (i.e. during the NoC ejection pass) is drainable only from the next
-	// cycle on, exactly as the sequential kernel's already-past drain loop
-	// would have it.
-	lateCleared bool
-	clearedAt   uint64
-	tag         uint64
+	tag      uint64
 }
 
 // NewMessageInterface builds the MI for the core at tile. pool is the
@@ -103,14 +95,10 @@ func (mi *MessageInterface) SetWaker(w *sim.Waker) { mi.waker = w }
 // SetFreeHook implements cpu.OffloadPort.
 func (mi *MessageInterface) SetFreeHook(free func()) { mi.freeHook = free }
 
-// Refused implements cpu.OffloadPort: n refusals the parked core skipped.
-func (mi *MessageInterface) Refused(n uint64) { mi.QueueFullRej += n }
-
 // Update implements cpu.OffloadPort; false stalls the core (offload
 // backpressure).
 func (mi *MessageInterface) Update(cmd core.UpdateCmd, cycle uint64) bool {
 	if mi.queue.Len() >= mi.cap {
-		mi.QueueFullRej++
 		return false
 	}
 	e := mi.getEntry()
@@ -124,7 +112,6 @@ func (mi *MessageInterface) Update(cmd core.UpdateCmd, cycle uint64) bool {
 // Gather implements cpu.OffloadPort.
 func (mi *MessageInterface) Gather(cmd core.GatherCmd, cycle uint64) bool {
 	if mi.queue.Len() >= mi.cap {
-		mi.QueueFullRej++
 		return false
 	}
 	e := mi.getEntry()
@@ -156,24 +143,6 @@ func (mi *MessageInterface) NextWork(now uint64) uint64 {
 	return never
 }
 
-// QueryWork reports whether TickQueries has work (the sharded kernel's
-// tile-wave idle hint; drains are checked by DrainWork).
-func (mi *MessageInterface) QueryWork(now uint64) uint64 {
-	if mi.unqueried > 0 && mi.scanFrom < mi.window && mi.scanFrom < mi.queue.Len() {
-		return now
-	}
-	return never
-}
-
-// DrainWork reports whether TickDrain can make progress.
-func (mi *MessageInterface) DrainWork() bool {
-	if mi.queue.Len() == 0 {
-		return false
-	}
-	head := mi.queue.Peek()
-	return head.isGather || head.cleared
-}
-
 // queryAddr picks the address whose directory bank is probed before the
 // offload proceeds (§3.4.2).
 func queryAddr(cmd core.UpdateCmd) mem.PAddr {
@@ -183,27 +152,12 @@ func queryAddr(cmd core.UpdateCmd) mem.PAddr {
 	return cmd.Target
 }
 
-// Tick issues coherence queries (up to the window) and drains cleared
-// commands to the coordinator in FIFO order. The sharded kernel runs the
-// two halves separately: TickQueries in the tile wave (tile-local sends)
-// and TickDrain in the serial section (the coordinator's queue-fill order
-// across MIs is part of the machine definition). Queries never read
-// coordinator state and drains never touch tile state another MI can see,
-// so all-queries-then-all-drains is interleaving-equivalent to the
-// sequential per-MI tick.
+// Tick issues coherence queries for the leading window of un-queried
+// updates, starting at the cursor (everything before it is already
+// queried), then drains cleared commands to the coordinator in FIFO order.
 //
 //ar:hotpath
 func (mi *MessageInterface) Tick(cycle uint64) {
-	mi.TickQueries(cycle)
-	mi.TickDrain(cycle)
-}
-
-// TickQueries issues coherence queries for the leading window of un-queried
-// updates, starting at the cursor (everything before it is already
-// queried).
-//
-//ar:hotpath
-func (mi *MessageInterface) TickQueries(cycle uint64) {
 	limit := mi.window
 	if limit > mi.queue.Len() {
 		limit = mi.queue.Len()
@@ -230,13 +184,7 @@ func (mi *MessageInterface) TickQueries(cycle uint64) {
 		mi.scanFrom = i + 1
 		mi.QueriesSent++
 	}
-}
-
-// TickDrain forwards cleared heads to the coordinator, recycling forwarded
-// entries.
-//
-//ar:hotpath
-func (mi *MessageInterface) TickDrain(cycle uint64) {
+	// Forward cleared heads, recycling forwarded entries.
 	for mi.queue.Len() > 0 {
 		e := mi.queue.Peek()
 		if e.isGather {
@@ -248,11 +196,6 @@ func (mi *MessageInterface) TickDrain(cycle uint64) {
 			if !e.cleared {
 				return
 			}
-			if e.lateCleared && e.clearedAt == cycle {
-				// Cleared after this cycle's sequential drain slot: the
-				// sequential kernel would forward it next cycle.
-				return
-			}
 			if !mi.coord.EnqueueUpdate(e.upd, cycle) {
 				return
 			}
@@ -261,15 +204,6 @@ func (mi *MessageInterface) TickDrain(cycle uint64) {
 		mi.queue.Pop()
 		if mi.scanFrom > 0 {
 			mi.scanFrom--
-			// The pop slid the query window forward: un-queried updates
-			// beyond it may now be queryable. Under the sharded kernel the
-			// drain runs in a serial section while the query ticker may be
-			// parked on a cached Never, so the window change must wake it
-			// (serial sections may wake any shard; in the sequential kernel
-			// the wake is a harmless re-poll).
-			if mi.unqueried > 0 {
-				mi.waker.Wake()
-			}
 		}
 		mi.free = append(mi.free, e) //ar:exempt(hotpath) free list reaches steady-state capacity; append stops growing after warm-up
 		if mi.freeHook != nil {
@@ -278,19 +212,10 @@ func (mi *MessageInterface) TickDrain(cycle uint64) {
 	}
 }
 
-// OnBackInvalDone clears the queried entry so it can be forwarded. late
-// reports whether the ack arrived through NoC ejection — a point in the
-// cycle that lies after the MI's sequential tick-order slot — in which
-// case the entry is drainable only from the next cycle on, under either
-// kernel (in the sequential kernel the same-cycle drain has already run,
-// so the stamp is naturally a no-op there).
-func (mi *MessageInterface) OnBackInvalDone(tag uint64, late bool, cycle uint64) {
+// OnBackInvalDone clears the queried entry so it can be forwarded.
+func (mi *MessageInterface) OnBackInvalDone(tag uint64, cycle uint64) {
 	if e, ok := mi.byTag[tag]; ok {
 		e.cleared = true
-		if late {
-			e.lateCleared = true
-			e.clearedAt = cycle
-		}
 		delete(mi.byTag, tag)
 		mi.waker.Wake()
 	}

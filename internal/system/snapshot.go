@@ -13,9 +13,8 @@ import (
 // Machine-state checkpointing (DESIGN.md "Checkpointing").
 //
 // A snapshot is taken only at a quiescent point: a cycle boundary where
-// every cross-component transient has drained — networks empty with no
-// staged effects, caches idle, no outstanding memory accesses, ARE and
-// coordinator holding only mid-construction flow state, cores blocked
+// every cross-component transient has drained — networks empty, caches
+// idle, no outstanding memory accesses, ARE and coordinator holding only mid-construction flow state, cores blocked
 // solely on fences or timed compute completions. At such a point the
 // machine is plain data: no closure needs serializing, because every live
 // callback is recoverable from structure (compute completions from the
@@ -24,9 +23,7 @@ import (
 // Restore never rebases the clock: the kernel restarts at the snapshot
 // cycle (StartAt), so absolute-cycle state — DRAM freeAt/activatedAt,
 // link busy horizons, core lastSeen, timed-call deadlines — serializes
-// verbatim. Snapshots are kernel-portable: per-domain fabric counters are
-// merged on encode, so a snapshot taken under the sequential kernel
-// restores exactly under the sharded kernel and vice versa.
+// verbatim.
 
 // snapshotVersion is the wire-format version of a system snapshot blob.
 // Bump on any layout change; restore rejects other versions.
@@ -35,10 +32,10 @@ const snapshotVersion = 1
 // Snapshotable reports whether the machine is at a quiescent point where
 // Snapshot can capture it exactly.
 func (s *System) Snapshotable() bool {
-	if !s.noc.SnapshotReady() {
+	if !s.noc.Drained() {
 		return false
 	}
-	if s.memnet != nil && !s.memnet.SnapshotReady() {
+	if s.memnet != nil && !s.memnet.Drained() {
 		return false
 	}
 	for _, l1 := range s.l1s {
@@ -87,16 +84,6 @@ func (s *System) Snapshotable() bool {
 	if s.barrier.Pending() {
 		return false
 	}
-	for _, fx := range s.fx {
-		if fx.Pending() {
-			return false
-		}
-	}
-	for _, stage := range s.coordStage {
-		if len(stage) > 0 {
-			return false
-		}
-	}
 	for _, c := range s.cores {
 		if !c.Snapshotable() {
 			return false
@@ -141,14 +128,21 @@ func (s *System) Snapshot(buf []byte) []byte {
 	for _, l2 := range s.l2s {
 		l2.Snapshot(e)
 	}
-	for _, mi := range s.mis {
+	for i, mi := range s.mis {
 		if mi != nil {
 			e.Tag("mi")
 			e.U64(mi.nextTag)
 			e.U64(mi.QueriesSent)
 			e.U64(mi.UpdatesSent)
 			e.U64(mi.GathersSent)
-			e.U64(mi.QueueFullRej)
+			// This slot held the MI's queue-full refusal count, which always
+			// equalled the tile core's OffloadStalls. It carries that value
+			// so the format is unchanged; restore discards it.
+			var stalls uint64
+			if i < len(s.cores) {
+				stalls = s.cores[i].Stats.OffloadStalls
+			}
+			e.U64(stalls)
 		}
 	}
 	s.noc.Snapshot(e)
@@ -186,8 +180,7 @@ func snapshotSum(b []byte) uint64 {
 // Restore rebuilds a freshly constructed, never-run machine from a
 // snapshot blob. The machine must have been built with a prefix-compatible
 // configuration (PrefixHash at the snapshot cycle matches) and the same
-// workload; the kernel (sequential or sharded) may differ from the
-// snapshot source's. On success the clock stands at the snapshot cycle and
+// workload. On success the clock stands at the snapshot cycle and
 // RunCtx continues bit-identically to the run the snapshot was taken from.
 func (s *System) Restore(data []byte) error {
 	if s.now() != 0 {
@@ -253,7 +246,7 @@ func (s *System) Restore(data []byte) error {
 			mi.QueriesSent = d.U64()
 			mi.UpdatesSent = d.U64()
 			mi.GathersSent = d.U64()
-			mi.QueueFullRej = d.U64()
+			d.U64() // the tile core's OffloadStalls (see Snapshot)
 		}
 	}
 	s.noc.Restore(d)
@@ -299,11 +292,7 @@ func (s *System) Restore(data []byte) error {
 
 	// Restart the clock at the snapshot cycle. All cached idle hints are
 	// discarded; the first step re-polls every component exactly.
-	if s.cond != nil {
-		s.cond.StartAt(cycle)
-	} else {
-		s.engine.StartAt(cycle)
-	}
+	s.engine.StartAt(cycle)
 	return nil
 }
 
@@ -313,7 +302,7 @@ func (s *System) Restore(data []byte) error {
 // point, it returns snap == nil and the run is complete — the caller can
 // collect Results via RunCtx, which will return immediately.
 //
-// The snapshot cycle may exceed `at`: the kernels fast-forward over
+// The snapshot cycle may exceed `at`: the engine fast-forwards over
 // quiescent stretches, and the machine stops at the first cycle it
 // actually examines that satisfies the predicate.
 func (s *System) RunToCheckpoint(ctx context.Context, at uint64, buf []byte) (snap []byte, err error) {
@@ -328,13 +317,7 @@ func (s *System) RunToCheckpoint(ctx context.Context, at uint64, buf []byte) (sn
 		}
 		return false
 	}
-	kernel := func() (uint64, error) {
-		if s.cond != nil {
-			return s.cond.RunUntilCtx(ctx, pred, s.remainingBudget())
-		}
-		return s.engine.RunUntilCtx(ctx, pred, s.remainingBudget())
-	}
-	if _, err := kernel(); err != nil {
+	if _, err := s.engine.RunUntilCtx(ctx, pred, s.remainingBudget()); err != nil {
 		return nil, fmt.Errorf("system: %s/%s: %w", s.cfg.Scheme, s.wl.Name(), err)
 	}
 	if !checkpointed {

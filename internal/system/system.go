@@ -76,22 +76,12 @@ type System struct {
 	coord     *core.Coordinator
 	barrier   *cpu.Barrier
 
-	// msgPools holds one coherence-message free list per tile; every
-	// component of a tile acquires messages from its own tile's pool and a
-	// message retires into the pool of the tile that finally consumes it.
-	// Per-tile pools keep pool access single-threaded under the sharded
-	// kernel (pool identity never affects simulated behavior).
-	msgPools []*cache.MsgPool
+	// msgPool is the machine's coherence-message free list.
+	msgPool *cache.MsgPool
 
 	// memTags holds one memory-transaction tag counter per tile (tags are
 	// already tile-scoped: tile<<40 | counter).
 	memTags []uint64
-
-	// Sharded-kernel state (nil/empty under the sequential kernel).
-	cond       *sim.Sharded
-	plan       *shardPlan
-	fx         []*cpu.EffectLog
-	coordStage [][]coordCall
 
 	// IPC sampling.
 	lastRetired uint64
@@ -124,22 +114,19 @@ func (h *tileHub) Deliver(p *network.Packet, cycle uint64) bool {
 	if !ok {
 		panic(fmt.Sprintf("system: NoC packet without coherence payload at tile %d", h.tile))
 	}
-	if !h.deliverMsg(m, cycle, true) {
+	if !h.deliverMsg(m, cycle) {
 		return false
 	}
 	p.Meta = nil
-	h.sys.noc.PoolAt(h.tile).Put(p)
+	h.sys.noc.Pool.Put(p)
 	return true
 }
 
 // deliverMsg demultiplexes a coherence message. Acceptance (true) transfers
 // message ownership: the L1/L2 release it after their handle() commit,
 // while the hub's own terminal cases (back-inval done, memory traffic)
-// consume the message synchronously and release it here. viaFabric
-// distinguishes NoC ejection (which happens after every non-fabric tile
-// component's tick-order slot) from a direct same-tile send — the MI uses
-// it to reproduce the sequential drain timing of back-inval acks.
-func (h *tileHub) deliverMsg(m *cache.Msg, cycle uint64, viaFabric bool) bool {
+// consume the message synchronously and release it here.
+func (h *tileHub) deliverMsg(m *cache.Msg, cycle uint64) bool {
 	s := h.sys
 	switch m.Type {
 	case cache.MsgGetS, cache.MsgGetX, cache.MsgPutM, cache.MsgInvAck,
@@ -148,8 +135,8 @@ func (h *tileHub) deliverMsg(m *cache.Msg, cycle uint64, viaFabric bool) bool {
 	case cache.MsgData, cache.MsgInval, cache.MsgFetch, cache.MsgFetchInv:
 		return s.l1s[h.tile].Deliver(m, cycle)
 	case cache.MsgBackInvalD:
-		s.mis[h.tile].OnBackInvalDone(m.Tag, viaFabric, cycle)
-		s.msgPools[h.tile].Put(m)
+		s.mis[h.tile].OnBackInvalDone(m.Tag, cycle)
+		s.msgPool.Put(m)
 		return true
 	case cache.MsgMemRead, cache.MsgMemWrite:
 		for _, mc := range s.mcs {
@@ -157,7 +144,7 @@ func (h *tileHub) deliverMsg(m *cache.Msg, cycle uint64, viaFabric bool) bool {
 				if !mc.deliver(m, cycle) {
 					return false
 				}
-				s.msgPools[h.tile].Put(m)
+				s.msgPool.Put(m)
 				return true
 			}
 		}
@@ -169,7 +156,7 @@ func (h *tileHub) deliverMsg(m *cache.Msg, cycle uint64, viaFabric bool) bool {
 		}
 		delete(h.pendingMem, m.Tag)
 		done(cycle)
-		s.msgPools[h.tile].Put(m)
+		s.msgPool.Put(m)
 		return true
 	default:
 		panic(fmt.Sprintf("system: unroutable message %s at tile %d", m.Type, h.tile))
@@ -204,7 +191,7 @@ func (mc *mcPort) deliver(m *cache.Msg, cycle uint64) bool {
 	write := m.Type == cache.MsgMemWrite
 	from, tag, block := m.From, m.Tag, m.Block
 	return mc.access(m.Block, write, func(cyc uint64) { //ar:exempt(hotpath) one completion closure per DRAM access; allocation is dwarfed by the access latency it tracks
-		resp := mc.sys.msgPools[mc.tile].Get(cache.MsgMemResp, block, mc.tile)
+		resp := mc.sys.msgPool.Get(cache.MsgMemResp, block, mc.tile)
 		resp.Tag = tag
 		if !mc.sys.sendFrom(mc.tile, from, resp) {
 			mc.outbox = append(mc.outbox, mcOut{from, resp})
@@ -249,30 +236,14 @@ func New(cfg Config, wlName string, scale workload.Scale) (*System, error) {
 
 // NewWith builds a machine around an existing workload value.
 func NewWith(cfg Config, wl workload.Workload) (*System, error) {
-	// Auto kernel knobs resolve here, against the bare host (callers with a
-	// shared worker budget — the service, sweeps — resolve earlier with
-	// their free-slot share and we see concrete values).
-	ResolveKernel(&cfg, 0)
-	s := &System{cfg: cfg, wl: wl}
+	s := &System{cfg: cfg, wl: wl, engine: sim.NewEngine(), msgPool: cache.NewMsgPool()}
 	s.env = workload.NewEnv(cfg.Threads, cfg.Seed)
 	wl.Init(s.env)
-	if cfg.Shards > 0 {
-		s.plan = computePlan(cfg)
-	} else {
-		s.engine = sim.NewEngine()
-	}
 
 	// --- Host NoC: 4x4 mesh, every tile hosts a core+L1 and an L2 bank.
 	meshTopo := network.NewMesh(4, nil)
 	s.noc = network.NewFabric(meshTopo, cfg.NoC)
 	tiles := meshTopo.Tiles()
-	if s.plan != nil {
-		s.noc.ShardNodes(s.plan.nocAssign, s.plan.S)
-	}
-	s.msgPools = make([]*cache.MsgPool, tiles)
-	for t := range s.msgPools {
-		s.msgPools[t] = cache.NewMsgPool()
-	}
 	s.memTags = make([]uint64, tiles)
 	s.hubs = make([]*tileHub, tiles)
 	for t := 0; t < tiles; t++ {
@@ -295,9 +266,6 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 			topo = network.NewDragonfly(ctrlCubes[:])
 		}
 		s.memnet = network.NewFabric(topo, cfg.MemNet)
-		if s.plan != nil {
-			s.memnet.ShardNodes(s.plan.memAssign, 2*s.plan.S)
-		}
 		s.cubes = make([]*hmc.Cube, cfg.HMCGeom.Cubes)
 		for c := range s.cubes {
 			s.cubes[c] = hmc.NewCube(c, cfg.Cube, s.memnet, s.env.Store)
@@ -313,11 +281,7 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 			ports[i] = s.hmcCtrls[i]
 		}
 		if cfg.Scheme.Active() {
-			coordPool := s.memnet.Pool
-			if s.plan != nil {
-				coordPool = nil // private pool: the coordinator runs serially
-			}
-			s.coord = core.NewCoordinator(cfg.Scheme.Policy(), cfg.HMCGeom, ports, s.env.Store, coordPool, cfg.CoordQueue)
+			s.coord = core.NewCoordinator(cfg.Scheme.Policy(), cfg.HMCGeom, ports, s.env.Store, s.memnet.Pool, cfg.CoordQueue)
 			memTopo := topo
 			s.coord.SetDistanceFn(func(port, cube int) int {
 				entry := ctrlCubes[port]
@@ -368,28 +332,28 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 			if write {
 				kind = cache.MsgMemWrite
 			}
-			m := s.msgPools[tile].Get(kind, block, tile)
+			m := s.msgPool.Get(kind, block, tile)
 			m.Tag = tag
 			if !s.sendFrom(tile, mcTiles[idx], m) {
-				s.msgPools[tile].Put(m)
+				s.msgPool.Put(m)
 				return false
 			}
 			s.hubs[tile].pendingMem[tag] = done
 			return true
 		}
-		s.l2s[t] = cache.NewL2Bank(t, cfg.L2, s.senderFor(t), memPort, s.msgPools[t])
+		s.l2s[t] = cache.NewL2Bank(t, cfg.L2, s.senderFor(t), memPort, s.msgPool)
 	}
 	s.l1s = make([]*cache.L1, tiles)
 	for t := 0; t < tiles; t++ {
 		s.l1s[t] = cache.NewL1(t, cfg.L1, s.senderFor(t),
-			func(block mem.PAddr) int { return cache.BankOf(block, tiles) }, s.msgPools[t])
+			func(block mem.PAddr) int { return cache.BankOf(block, tiles) }, s.msgPool)
 	}
 
 	// --- Message interfaces (Active-Routing schemes only).
 	s.mis = make([]*MessageInterface, tiles)
 	if cfg.Scheme.Active() {
 		for t := 0; t < tiles; t++ {
-			s.mis[t] = NewMessageInterface(t, s.senderFor(t), s.coord, s.msgPools[t], cfg.MIQueue, cfg.MIWindow)
+			s.mis[t] = NewMessageInterface(t, s.senderFor(t), s.coord, s.msgPool, cfg.MIQueue, cfg.MIWindow)
 		}
 	}
 
@@ -409,21 +373,12 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 		s.cores[i] = cpu.NewCore(i, cfg.Core, streams[i], s.l1s[i], off, s.env.Store, s.env.AS, barrier)
 	}
 
-	if s.plan != nil {
-		s.registerSharded()
-	} else {
-		s.register()
-	}
+	s.register()
 	return s, nil
 }
 
-// now reports the current simulation cycle under either kernel.
-func (s *System) now() uint64 {
-	if s.cond != nil {
-		return s.cond.Cycle()
-	}
-	return s.engine.Cycle()
-}
+// now reports the current simulation cycle.
+func (s *System) now() uint64 { return s.engine.Cycle() }
 
 // senderFor builds the NoC message sender for a tile. Same-tile messages
 // bypass the network.
@@ -433,9 +388,9 @@ func (s *System) senderFor(tile int) cache.Sender {
 
 func (s *System) sendFrom(src, dst int, m *cache.Msg) bool {
 	if src == dst {
-		return s.hubs[dst].deliverMsg(m, s.now(), false)
+		return s.hubs[dst].deliverMsg(m, s.now())
 	}
-	pool := s.noc.PoolAt(src)
+	pool := s.noc.Pool
 	p := cache.PacketFor(pool, m, src, dst)
 	if !s.noc.Inject(src, p, s.now()) {
 		// The wrapper never entered the fabric; the caller keeps the
@@ -593,13 +548,7 @@ func (s *System) RunCtx(ctx context.Context) (*Results, error) {
 	// The budget is relative to the current clock so a run resumed from a
 	// checkpoint times out at the same absolute cycle as a straight-through
 	// run (remainingBudget == MaxCycles on a fresh machine).
-	var err error
-	if s.cond != nil {
-		_, err = s.cond.RunUntilCtx(ctx, s.done, s.remainingBudget())
-	} else {
-		_, err = s.engine.RunUntilCtx(ctx, s.done, s.remainingBudget())
-	}
-	if err != nil {
+	if _, err := s.engine.RunUntilCtx(ctx, s.done, s.remainingBudget()); err != nil {
 		return nil, fmt.Errorf("system: %s/%s: %w", s.cfg.Scheme, s.wl.Name(), err)
 	}
 	if err := s.wl.Verify(); err != nil {
@@ -660,8 +609,8 @@ func (s *System) collect() *Results {
 		r.Coord = s.coord.Stats
 	}
 	if s.memnet != nil {
-		r.Movement = s.memnet.MovementTotal()
-		r.NetHopByte = s.memnet.HopBytesTotal()
+		r.Movement = s.memnet.Movement
+		r.NetHopByte = s.memnet.HopBytes
 	}
 	for _, d := range s.dramCtrls {
 		r.DRAMAcc += d.Banks.Stats.Reads + d.Banks.Stats.Writes
@@ -704,25 +653,8 @@ func mergeEngineStats(dst *core.EngineStats, src core.EngineStats) {
 	}
 }
 
-// Engine exposes the sequential simulation engine (tests and tooling); it
-// is nil under the sharded kernel, where Conductor is the scheduler.
+// Engine exposes the simulation engine (tests and tooling).
 func (s *System) Engine() *sim.Engine { return s.engine }
-
-// Conductor exposes the sharded kernel's scheduler (nil under the
-// sequential kernel).
-func (s *System) Conductor() *sim.Sharded { return s.cond }
-
-// SchedCounters snapshots the sharded conductor's scheduling counters
-// (waves run/fused/skipped, barriers elided, park events). ok is false
-// under the sequential kernel. The counters are scheduler diagnostics, not
-// simulated state — they are deliberately kept out of Results so sharded
-// and sequential runs stay bit-identical.
-func (s *System) SchedCounters() (sim.SchedCounters, bool) {
-	if s.cond == nil {
-		return sim.SchedCounters{}, false
-	}
-	return s.cond.Counters(), true
-}
 
 // CoreStats returns a copy of every core's counters in core order (tests
 // and tooling: Results.CoreStats sums only a subset of them).
@@ -739,29 +671,3 @@ func (s *System) Env() *workload.Env { return s.env }
 
 // Workload exposes the bound workload.
 func (s *System) Workload() workload.Workload { return s.wl }
-
-// DebugDigest summarizes per-cycle observable state for kernel-equivalence
-// debugging (tests and tooling only).
-func (s *System) DebugDigest() string {
-	var retired, fence, stalls uint64
-	for _, c := range s.cores {
-		retired += c.Stats.Retired
-		fence += c.Stats.FenceCycles
-		stalls += c.Stats.OffloadStalls
-	}
-	var miq, mid uint64
-	for _, mi := range s.mis {
-		if mi != nil {
-			miq += mi.QueriesSent
-			mid += mi.UpdatesSent + mi.GathersSent
-		}
-	}
-	d := fmt.Sprintf("ret=%d fence=%d ostall=%d miq=%d mid=%d noc=%d", retired, fence, stalls, miq, mid, s.noc.InFlight())
-	if s.memnet != nil {
-		d += fmt.Sprintf(" mem=%d", s.memnet.InFlight())
-	}
-	if s.coord != nil {
-		d += fmt.Sprintf(" coord={u=%d g=%d ps=%d er=%d flows=%d}", s.coord.Stats.Updates, s.coord.Stats.Gathers, s.coord.Stats.PortStalls, s.coord.Stats.EnqueueRejects, s.coord.LiveFlows())
-	}
-	return d
-}
