@@ -3,6 +3,7 @@ package system_test
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/system"
@@ -80,6 +81,62 @@ func TestCheckpointRoundTrip(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestShardedDeterminism splits every suite workload × scheme run into
+// shards of simulated time: the run is checkpointed at the first quiescent
+// point past each third of its straight-through length, and each shard
+// resumes on a fresh machine restored from the previous shard's snapshot.
+// The stitched run's Results must be bit-identical (reflect.DeepEqual) to
+// the straight run. TestCheckpointRoundTrip covers seven shapes at one cut;
+// this is the matrix-wide, multi-cut form of the property prefix-shared
+// sweeps rely on when they fork one snapshot into many runs. A shape with
+// no quiescent point past a cut finishes inside its current shard; the
+// parent test requires that most shapes do checkpoint, so the matrix
+// cannot quietly degrade into straight runs.
+func TestShardedDeterminism(t *testing.T) {
+	var shapes, split atomic.Int64
+	t.Cleanup(func() {
+		if n, k := shapes.Load(), split.Load(); 2*k < n {
+			t.Errorf("only %d of %d shapes reached a checkpoint", k, n)
+		}
+	})
+	for _, wl := range append(append([]string{}, workload.Benchmarks()...), workload.Microbenchmarks()...) {
+		for _, sch := range system.AllSchemes() {
+			wl, sch := wl, sch
+			t.Run(wl+"/"+sch.String(), func(t *testing.T) {
+				t.Parallel()
+				want := runStraight(t, sch, wl)
+				sys := buildSys(t, sch, wl)
+				cuts := 0
+				for _, at := range []uint64{want.Cycles / 3, 2 * want.Cycles / 3} {
+					snap, err := sys.RunToCheckpoint(context.Background(), at, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if snap == nil {
+						break
+					}
+					cuts++
+					sys = buildSys(t, sch, wl)
+					if err := sys.Restore(snap); err != nil {
+						t.Fatalf("cut %d: %v", cuts, err)
+					}
+				}
+				got, err := sys.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("run stitched from %d shards diverged from straight-through run", cuts+1)
+				}
+				shapes.Add(1)
+				if cuts > 0 {
+					split.Add(1)
+				}
+			})
+		}
 	}
 }
 

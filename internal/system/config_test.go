@@ -1,6 +1,7 @@
 package system
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -123,6 +124,29 @@ func TestConfigHashDistinctFromOldSchemas(t *testing.T) {
 			t.Fatalf("missing v3 hash for %s", s)
 		} else if got == old {
 			t.Errorf("%s: hash %s collides with the v3 schema hash", s, got)
+		}
+	}
+}
+
+// TestConfigHashKernelInvariant pins the cache-key contract for configs
+// written while the simulator still had a sharded kernel: their JSON
+// carries the retired Shards/Workers knobs, which now decode as unknown
+// fields and must leave Config.Hash unchanged, so results and snapshots
+// stored under such a config stay reachable.
+func TestConfigHashKernelInvariant(t *testing.T) {
+	for _, sch := range AllSchemes() {
+		cfg := DefaultConfig(sch)
+		raw, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy := append([]byte(`{"Shards":4,"Workers":4,`), raw[1:]...)
+		var got Config
+		if err := json.Unmarshal(legacy, &got); err != nil {
+			t.Fatalf("%s: legacy config does not decode: %v", sch, err)
+		}
+		if got.Hash() != cfg.Hash() {
+			t.Errorf("%s: legacy config hash %s differs from %s", sch, got.Hash(), cfg.Hash())
 		}
 	}
 }
