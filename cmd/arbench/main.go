@@ -13,16 +13,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strings"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/system"
@@ -184,95 +180,9 @@ func (r *runner) run(fig string) error {
 	return nil
 }
 
-// benchRun is one (workload, scheme) wall-clock measurement.
-type benchRun struct {
-	Workload     string  `json:"workload"`
-	Scheme       string  `json:"scheme"`
-	WallNS       int64   `json:"wall_ns"`
-	Cycles       uint64  `json:"cycles"`
-	CyclesPerSec float64 `json:"cycles_per_sec"`
-}
-
-// benchReport is a quick machine-readable simulator-speed snapshot of one
-// figure suite (the repository's benchmark is perfbench; see DESIGN.md
-// "Performance tracking"). HostCPUs is the machine's logical CPU count
-// (runtime.NumCPU) and Gomaxprocs the Go scheduler's parallelism cap at
-// measurement time — they differ under quota-limited containers or an
-// explicit GOMAXPROCS.
-type benchReport struct {
-	Suite        string     `json:"suite"`
-	Scale        string     `json:"scale"`
-	HostCPUs     int        `json:"host_cpus"`
-	Gomaxprocs   int        `json:"gomaxprocs"`
-	Runs         []benchRun `json:"runs"`
-	TotalWallNS  int64      `json:"total_wall_ns"`
-	TotalCycles  uint64     `json:"total_cycles"`
-	CyclesPerSec float64    `json:"cycles_per_sec"`
-}
-
-// stampBenchPath derives the output filename for a benchmark report:
-// unless the caller opted out ("-" or a path already containing the
-// ".fig51a." stamp), the suite and scale are inserted before the
-// extension — BENCH_after.json at ScaleSmall becomes
-// BENCH_after.fig51a.small.json — so reports from different suites and
-// scales can sit side by side without overwriting each other.
-func stampBenchPath(path, suite, scaleName string) string {
-	if path == "-" || strings.Contains(path, "."+suite+".") {
-		return path
-	}
-	ext := filepath.Ext(path)
-	return strings.TrimSuffix(path, ext) + "." + suite + "." + scaleName + ext
-}
-
-// runBenchJSON times every (benchmark, scheme) pair of the Fig 5.1a suite
-// serially (so per-run wall times are not distorted by parallelism) and
-// writes the JSON report to path ("-" for stdout), with suite and scale
-// stamped into the filename.
-func runBenchJSON(path string, scale workload.Scale, scaleName string) error {
-	rep := benchReport{Suite: "fig5.1a", Scale: scaleName, HostCPUs: runtime.NumCPU(), Gomaxprocs: runtime.GOMAXPROCS(0)}
-	path = stampBenchPath(path, "fig51a", scaleName)
-	for _, wl := range workload.Benchmarks() {
-		for _, sch := range system.Schemes() {
-			sys, err := system.New(system.DefaultConfig(sch), wl, scale)
-			if err != nil {
-				return err
-			}
-			start := time.Now()
-			res, err := sys.Run()
-			wall := time.Since(start)
-			if err != nil {
-				return err
-			}
-			rep.Runs = append(rep.Runs, benchRun{
-				Workload:     wl,
-				Scheme:       sch.String(),
-				WallNS:       wall.Nanoseconds(),
-				Cycles:       res.Cycles,
-				CyclesPerSec: float64(res.Cycles) / wall.Seconds(),
-			})
-			rep.TotalWallNS += wall.Nanoseconds()
-			rep.TotalCycles += res.Cycles
-		}
-	}
-	rep.CyclesPerSec = float64(rep.TotalCycles) / (float64(rep.TotalWallNS) / 1e9)
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
 func main() {
 	figFlag := flag.String("fig", "all", "figure to regenerate (all, table4.1, 5.1a, 5.1b, 5.2a, 5.2b, 5.3, 5.4, 5.5, 5.6, 5.7, 5.8)")
 	scaleFlag := flag.String("scale", "small", "input scale (tiny, small, medium)")
-	benchFlag := flag.String("benchjson", "", "write a machine-readable Fig 5.1a wall-clock benchmark report to this file, with suite+scale stamped into the name (use - for stdout), and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -308,13 +218,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, "arbench:", err)
 			}
 		}()
-	}
-	if *benchFlag != "" {
-		if err := runBenchJSON(*benchFlag, scale, scale.String()); err != nil {
-			fmt.Fprintln(os.Stderr, "arbench:", err)
-			os.Exit(1)
-		}
-		return
 	}
 	r := &runner{scale: scale, out: os.Stdout}
 	figs := []string{*figFlag}

@@ -49,20 +49,3 @@ func TestUnknownFigErrors(t *testing.T) {
 		t.Fatal("unknown figure id accepted")
 	}
 }
-
-// TestStampBenchPath pins the suite+scale filename stamping contract.
-func TestStampBenchPath(t *testing.T) {
-	cases := []struct{ in, scale, want string }{
-		{"BENCH_after.json", "small", "BENCH_after.fig51a.small.json"},
-		{"BENCH_baseline.json", "tiny", "BENCH_baseline.fig51a.tiny.json"},
-		{"out/x.json", "medium", "out/x.fig51a.medium.json"},
-		{"-", "small", "-"},
-		// Already stamped: left alone (idempotent re-runs).
-		{"BENCH_after.fig51a.small.json", "small", "BENCH_after.fig51a.small.json"},
-	}
-	for _, c := range cases {
-		if got := stampBenchPath(c.in, "fig51a", c.scale); got != c.want {
-			t.Errorf("stampBenchPath(%q, %q) = %q, want %q", c.in, c.scale, got, c.want)
-		}
-	}
-}

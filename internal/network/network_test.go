@@ -1,6 +1,7 @@
 package network
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -407,5 +408,33 @@ func TestFabricRandomTrafficConservation(t *testing.T) {
 	}
 	if !f.Drained() {
 		t.Fatal("fabric not drained after delivery")
+	}
+}
+
+// TestNewFabricRejectsUnrepresentableShapes pins NewFabric's refusal of
+// configs and topologies the router's 64-bit masks and fixed VC layout
+// cannot represent.
+func TestNewFabricRejectsUnrepresentableShapes(t *testing.T) {
+	sevenVCs := DefaultNoCConfig()
+	sevenVCs.VCs = 7
+	cases := []struct {
+		name string
+		topo Topology
+		cfg  Config
+		want string
+	}{
+		{"81-node mesh", NewMesh(9, nil), DefaultNoCConfig(), "81 nodes"},
+		{"seven VCs", NewMesh(4, nil), sevenVCs, "VCs must be 6"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want one naming %q", msg, tc.want)
+				}
+			}()
+			NewFabric(tc.topo, tc.cfg)
+		})
 	}
 }

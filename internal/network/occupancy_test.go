@@ -49,14 +49,14 @@ func TestOccupancyCountersMatchScan(t *testing.T) {
 			for i := range r.inj {
 				inj += r.inj[i].len()
 				if r.inj[i].len() > 0 {
-					occ |= 1 << uint(r.ports*f.Cfg.VCs+i)
+					occ |= 1 << uint(r.ports*numVCs+i)
 				}
 			}
 			if in != r.inCount || inj != r.injCount {
 				t.Fatalf("cycle %d node %d: inCount=%d (scan %d), injCount=%d (scan %d)",
 					cyc, r.node, r.inCount, in, r.injCount, inj)
 			}
-			if r.maskable && occ != r.occ {
+			if occ != r.occ {
 				t.Fatalf("cycle %d node %d: occ mask %b, scan %b", cyc, r.node, r.occ, occ)
 			}
 		}

@@ -48,7 +48,8 @@ func FuzzPacketRing(f *testing.F) {
 
 // FuzzArrivalWheel drives the calendar queue through arbitrary push/drain
 // sequences, checking that every arrival lands in exactly the bucket of its
-// network cycle and that counts balance.
+// network cycle (carried in the packet's InjectCycle) and that counts
+// balance.
 func FuzzArrivalWheel(f *testing.F) {
 	f.Add([]byte{3, 1, 9, 250, 17})
 	f.Add([]byte{0, 0, 0, 1, 2, 3})
@@ -64,7 +65,8 @@ func FuzzArrivalWheel(f *testing.F) {
 				if int(at-now) >= len(w.buckets) {
 					continue
 				}
-				w.push(at, arrival{cycle: at})
+				p := &Packet{InjectCycle: at}
+				w.push(at, arrival{p: p})
 				pending[at]++
 				total++
 			} else { // advance and drain a few cycles
@@ -72,8 +74,8 @@ func FuzzArrivalWheel(f *testing.F) {
 					now++
 					b := w.take(now)
 					for i := range b {
-						if b[i].cycle != now {
-							t.Fatalf("bucket %d held arrival for %d", now, b[i].cycle)
+						if at := b[i].p.InjectCycle; at != now {
+							t.Fatalf("bucket %d held arrival for %d", now, at)
 						}
 					}
 					if len(b) != pending[now] {

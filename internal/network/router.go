@@ -1,6 +1,7 @@
 package network
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -31,13 +32,30 @@ func (f EndpointFunc) Deliver(p *Packet, cycle uint64) bool { return f(p, cycle)
 // the fixed ring-buffer capacities of the router input and injection queues
 // (rounded up to powers of two), so the steady-state fabric never allocates.
 type Config struct {
-	VCs           int    // virtual channels (request/response × 2 hop classes)
+	VCs           int    // virtual channels; must equal numVCs
 	QueueDepth    int    // packets per (port, VC) input queue
 	InjDepth      int    // packets per injection queue
 	LinkLatency   uint64 // link traversal latency, network cycles
 	LinkBandwidth int    // bytes per network cycle per link
 	RouterDelay   uint64 // router pipeline latency, network cycles
 	ClockDiv      uint64 // simulator cycles per network cycle
+}
+
+// Validate reports the first field NewFabric cannot build a fabric from.
+func (c Config) Validate() error {
+	switch {
+	case c.VCs != numVCs:
+		return fmt.Errorf("VCs must be %d (3 traffic classes × 2 hop classes), got %d", numVCs, c.VCs)
+	case c.QueueDepth <= 0:
+		return errors.New("QueueDepth must be positive")
+	case c.InjDepth <= 0:
+		return errors.New("InjDepth must be positive")
+	case c.LinkBandwidth <= 0:
+		return errors.New("LinkBandwidth must be positive")
+	case c.ClockDiv == 0:
+		return errors.New("ClockDiv must be positive")
+	}
+	return nil
 }
 
 // DefaultMemNetConfig returns the memory-network parameters: 1 GHz network
@@ -69,6 +87,11 @@ func DefaultNoCConfig() Config {
 	}
 }
 
+// numVCs is the fabric's VC count: vcBase's three traffic classes, each
+// split into two hop classes (Topology.HopClass) that break cyclic channel
+// dependencies inside a class. Config.VCs must equal it.
+const numVCs = 6
+
 // vcBase maps a packet kind to its VC class pair. Three classes break
 // request-generates-request protocol deadlock: plain requests (updates,
 // gathers, memory reads) may generate operand/active-store requests, which
@@ -86,10 +109,9 @@ func vcBase(k Kind) int {
 }
 
 type arrival struct {
-	p     *Packet
-	port  int
-	vc    int
-	cycle uint64
+	p    *Packet
+	port int
+	vc   int
 }
 
 type upstream struct {
@@ -113,10 +135,10 @@ type link struct {
 type router struct {
 	node     int
 	ports    int
-	in       []packetRing // [port*VCs + vc]
+	in       []packetRing // [port*numVCs + vc]
 	inj      []packetRing // [vc]
 	up       []upstream   // [port] upstream node/port, node == -1 if unused
-	credits  []int        // [port*VCs + vc] credits toward downstream input
+	credits  []int        // [port*numVCs + vc] credits toward downstream input
 	linkBusy []uint64     // [port] output link busy-until (simulator cycles)
 	pending  arrivalWheel // in-flight packets heading to this router
 	rrPort   int          // round-robin arbitration state
@@ -135,9 +157,8 @@ type router struct {
 	inCount  int    // packets across all input queues
 	injCount int    // packets across all injection queues
 	occ      uint64 // bit q set iff queue q non-empty; in queues at
-	// [0, ports*VCs), injection queues at [ports*VCs, ports*VCs+VCs).
-	// Valid only when maskable (nin <= 64); all our topologies qualify.
-	maskable bool
+	// [0, ports*numVCs), injection queues at [ports*numVCs, nin).
+	// NewFabric guarantees nin = ports*numVCs+numVCs <= 64.
 
 	// Head metadata cache, maintained on every head change (push to an
 	// empty queue, pop, landing): the arbitration loops compare small
@@ -156,9 +177,9 @@ type router struct {
 }
 
 // queueAt returns input queue idx (link inputs first, then injection).
-func (r *router) queueAt(idx, vcs int) *packetRing {
-	if idx >= r.ports*vcs {
-		return &r.inj[idx-r.ports*vcs]
+func (r *router) queueAt(idx int) *packetRing {
+	if idx >= r.ports*numVCs {
+		return &r.inj[idx-r.ports*numVCs]
 	}
 	return &r.in[idx]
 }
@@ -171,7 +192,7 @@ func (f *Fabric) updateHead(r *router, idx int) {
 			r.wantMask &^= 1 << uint(old)
 		}
 	}
-	q := r.queueAt(idx, f.Cfg.VCs)
+	q := r.queueAt(idx)
 	if q.len() == 0 {
 		r.headOut[idx] = -1
 		r.ejectHead &^= 1 << uint(idx)
@@ -216,8 +237,8 @@ type Fabric struct {
 	inflight int
 	queued   int
 
-	// Router-level occupancy masks, bit = node id (valid while
-	// nodeMaskable): busyNodes marks routers holding queued packets,
+	// Router-level occupancy masks, bit = node id (NewFabric caps the node
+	// count at 64): busyNodes marks routers holding queued packets,
 	// pendingNodes routers with in-flight arrivals.
 	busyNodes    uint64
 	pendingNodes uint64
@@ -239,7 +260,6 @@ type Fabric struct {
 	ejectStalled uint64
 	nextID       uint64
 
-	nodeMaskable bool
 	wheelHorizon uint64 // arrival-wheel capacity in network cycles
 
 	// clockMask enables mask/shift arithmetic for the (common) power-of-two
@@ -251,22 +271,27 @@ type Fabric struct {
 
 	// classMask[c] selects input-queue occupancy bits whose VC belongs to
 	// ejection class c (vc/2 == c); shared by all routers since the bit
-	// layout has stride Cfg.VCs.
+	// layout has stride numVCs.
 	classMask [3]uint64
 }
 
 // NewFabric builds a network over topo. Endpoints are attached later with
-// SetEndpoint.
+// SetEndpoint. It panics on a config that fails Validate and on a topology
+// the router's single-word masks cannot hold: at most 64 nodes, and at most
+// 64 queues (ports*numVCs link inputs plus numVCs injection queues) per
+// router.
 func NewFabric(topo Topology, cfg Config) *Fabric {
-	if cfg.VCs <= 0 || cfg.QueueDepth <= 0 || cfg.LinkBandwidth <= 0 || cfg.ClockDiv == 0 {
-		panic("network: invalid fabric config")
+	if err := cfg.Validate(); err != nil {
+		panic("network: invalid fabric config: " + err.Error())
 	}
 	f := &Fabric{Topo: topo, Cfg: cfg, Pool: NewPool(), Counters: stats.NewSet()}
 	for k := Kind(0); k < kindCount; k++ {
 		f.deliveredH[k] = f.Counters.Register("delivered_" + k.String())
 	}
 	n := topo.Nodes()
-	f.nodeMaskable = n <= 64
+	if n > 64 {
+		panic(fmt.Sprintf("network: topology has %d nodes; the node masks hold at most 64", n))
+	}
 	if cfg.ClockDiv&(cfg.ClockDiv-1) == 0 {
 		f.clockPow2 = true
 		f.clockMask = cfg.ClockDiv - 1
@@ -284,20 +309,23 @@ func NewFabric(topo Topology, cfg Config) *Fabric {
 	f.endpoints = make([]Endpoint, n)
 	for i := 0; i < n; i++ {
 		ports := topo.Ports(i)
+		nin := ports*numVCs + numVCs
+		if nin > 64 {
+			panic(fmt.Sprintf("network: node %d has %d ports; %d queues exceed the 64-bit occupancy mask", i, ports, nin))
+		}
 		r := &router{
 			node:       i,
 			ports:      ports,
-			in:         make([]packetRing, ports*cfg.VCs),
-			inj:        make([]packetRing, cfg.VCs),
+			in:         make([]packetRing, ports*numVCs),
+			inj:        make([]packetRing, numVCs),
 			up:         make([]upstream, ports),
-			credits:    make([]int, ports*cfg.VCs),
+			credits:    make([]int, ports*numVCs),
 			linkBusy:   make([]uint64, ports),
 			pending:    newArrivalWheel(wheelSlots),
 			pendingMin: sim.Never,
 			links:      make([]link, ports),
 			routeTo:    make([]int8, n),
 			hopClass:   make([]int8, n),
-			maskable:   ports*cfg.VCs+cfg.VCs <= 64,
 		}
 		for q := range r.in {
 			r.in[q] = newPacketRing(cfg.QueueDepth)
@@ -305,7 +333,6 @@ func NewFabric(topo Topology, cfg Config) *Fabric {
 		for q := range r.inj {
 			r.inj[q] = newPacketRing(cfg.InjDepth)
 		}
-		nin := ports*cfg.VCs + cfg.VCs
 		r.headOut = make([]int8, nin)
 		r.headVC = make([]int8, nin)
 		r.wantCount = make([]uint16, ports)
@@ -329,7 +356,7 @@ func NewFabric(topo Topology, cfg Config) *Fabric {
 	}
 	for c := 0; c < 3; c++ {
 		for idx := 0; idx < 64; idx++ {
-			if (idx%cfg.VCs)/2 == c {
+			if (idx%numVCs)/2 == c {
 				f.classMask[c] |= 1 << uint(idx)
 			}
 		}
@@ -343,8 +370,8 @@ func NewFabric(topo Topology, cfg Config) *Fabric {
 				continue
 			}
 			f.routers[l.peer].up[l.peerPort] = upstream{node: i, port: p}
-			for vc := 0; vc < cfg.VCs; vc++ {
-				r.credits[p*cfg.VCs+vc] = cfg.QueueDepth
+			for vc := 0; vc < numVCs; vc++ {
+				r.credits[p*numVCs+vc] = cfg.QueueDepth
 			}
 		}
 	}
@@ -389,7 +416,7 @@ func (f *Fabric) Inject(n int, p *Packet, cycle uint64) bool {
 		p.InjectCycle = cycle
 	}
 	r.inj[vc].push(p)
-	idx := r.ports*f.Cfg.VCs + vc
+	idx := r.ports*numVCs + vc
 	r.markIn(idx)
 	if r.inj[vc].len() == 1 {
 		f.updateHead(r, idx)
@@ -452,19 +479,11 @@ func (f *Fabric) NextWork(now uint64) uint64 {
 		return f.alignUp(now)
 	}
 	next := sim.Never
-	if f.nodeMaskable {
-		for m := f.pendingNodes; m != 0; {
-			node := bits.TrailingZeros64(m)
-			m &= m - 1
-			if pm := f.routers[node].pendingMin; pm < next {
-				next = pm
-			}
-		}
-	} else {
-		for _, r := range f.routers {
-			if r.pendingMin < next {
-				next = r.pendingMin
-			}
+	for m := f.pendingNodes; m != 0; {
+		node := bits.TrailingZeros64(m)
+		m &= m - 1
+		if pm := f.routers[node].pendingMin; pm < next {
+			next = pm
 		}
 	}
 	if next <= now {
@@ -522,52 +541,30 @@ func (f *Fabric) Tick(cycle uint64) {
 	// The scan compacts the ring in place; routers whose earliest arrival
 	// is still on the wire are skipped entirely via pendingMin, and only
 	// routers with any pending arrival are visited at all.
-	if f.nodeMaskable {
-		for m := f.pendingNodes; m != 0; {
-			node := bits.TrailingZeros64(m)
-			m &= m - 1
-			f.land(f.routers[node], cycle)
-		}
-	} else {
-		for _, r := range f.routers {
-			f.land(r, cycle)
-		}
+	for m := f.pendingNodes; m != 0; {
+		node := bits.TrailingZeros64(m)
+		m &= m - 1
+		f.land(f.routers[node], cycle)
 	}
 	// Phase 2: ejection — deliver packets that reached their destination.
 	// Ejection handlers may synchronously inject new packets (marking more
 	// routers busy), but injection never adds input-queue packets, so the
 	// snapshot covers every router with ejectable state.
-	if f.nodeMaskable {
-		for m := f.busyNodes; m != 0; {
-			node := bits.TrailingZeros64(m)
-			m &= m - 1
-			if r := f.routers[node]; r.inCount > 0 {
-				f.eject(r, cycle)
-			}
-		}
-	} else {
-		for _, r := range f.routers {
-			if r.inCount > 0 {
-				f.eject(r, cycle)
-			}
+	for m := f.busyNodes; m != 0; {
+		node := bits.TrailingZeros64(m)
+		m &= m - 1
+		if r := f.routers[node]; r.inCount > 0 {
+			f.eject(r, cycle)
 		}
 	}
 	// Phase 3: switch allocation and forwarding (forwarded packets land on
 	// pending wheels at least one network cycle ahead, so the snapshot is
 	// complete).
-	if f.nodeMaskable {
-		for m := f.busyNodes; m != 0; {
-			node := bits.TrailingZeros64(m)
-			m &= m - 1
-			if r := f.routers[node]; r.inCount+r.injCount > 0 {
-				f.forward(r, cycle)
-			}
-		}
-	} else {
-		for _, r := range f.routers {
-			if r.inCount+r.injCount > 0 {
-				f.forward(r, cycle)
-			}
+	for m := f.busyNodes; m != 0; {
+		node := bits.TrailingZeros64(m)
+		m &= m - 1
+		if r := f.routers[node]; r.inCount+r.injCount > 0 {
+			f.forward(r, cycle)
 		}
 	}
 }
@@ -583,7 +580,7 @@ func (f *Fabric) land(r *router, cycle uint64) {
 		b := r.pending.take(t)
 		for i := range b {
 			a := &b[i]
-			idx := a.port*f.Cfg.VCs + a.vc
+			idx := a.port*numVCs + a.vc
 			r.in[idx].push(a.p)
 			if r.in[idx].len() == 1 {
 				f.updateHead(r, idx)
@@ -613,53 +610,30 @@ func (f *Fabric) land(r *router, cycle uint64) {
 // drain order matches the deadlock-freedom argument. Each queue gets one
 // delivery attempt per cycle; endpoint refusals backpressure the network.
 // Ejection bandwidth is otherwise unbounded — a modeling simplification the
-// simulated results depend on (see DESIGN.md). Only occupied (port, VC)
-// queues are visited; the visit order (class descending, then port then VC
-// ascending) matches the plain scan.
+// simulated results depend on (see DESIGN.md). Only queues whose cached
+// head ejects here are visited, class descending, then port then VC
+// ascending.
 //
 //ar:hotpath
 func (f *Fabric) eject(r *router, cycle uint64) {
 	ep := f.endpoints[r.node]
-	for pass := 0; pass < 3; pass++ {
-		class := 2 - pass // 2=response, 1=operand, 0=request
-		if r.maskable {
-			// Only queues whose cached head actually ejects here are
-			// candidates; the plain scan's other visits were guaranteed
-			// no-ops (head destined elsewhere).
-			m := r.occ & f.classMask[class] & r.ejectHead
-			for m != 0 {
-				idx := bits.TrailingZeros64(m)
-				m &= m - 1
-				if idx >= r.ports*f.Cfg.VCs {
-					break // injection-queue bits: not ejectable
-				}
-				f.ejectQueue(r, ep, idx, cycle)
-			}
-			continue
-		}
-		for port := 0; port < r.ports; port++ {
-			for vc := 0; vc < f.Cfg.VCs; vc++ {
-				if vc/2 != class {
-					continue
-				}
-				f.ejectQueue(r, ep, port*f.Cfg.VCs+vc, cycle)
-			}
+	for class := 2; class >= 0; class-- { // 2=response, 1=operand, 0=request
+		// ejectHead never marks an injection queue: Inject refuses
+		// self-addressed packets.
+		for m := r.occ & f.classMask[class] & r.ejectHead; m != 0; m &= m - 1 {
+			f.ejectQueue(r, ep, bits.TrailingZeros64(m), cycle)
 		}
 	}
 }
 
-// ejectQueue delivers at most one packet from input queue idx (each queue
-// gets one ejection attempt per class pass, exactly like the plain scan);
-// it reports whether a packet was popped. A successful Deliver is the
-// ejection commit: ownership passes to the endpoint, which releases the
-// packet to the fabric pool at its final consumption point.
+// ejectQueue offers the head of input queue idx, which the caller has
+// found destined for this node, to the endpoint. A successful Deliver is
+// the ejection commit: ownership passes to the endpoint, which releases
+// the packet to the fabric pool at its final consumption point.
 //
 //ar:hotpath
-func (f *Fabric) ejectQueue(r *router, ep Endpoint, idx int, cycle uint64) bool {
+func (f *Fabric) ejectQueue(r *router, ep Endpoint, idx int, cycle uint64) {
 	q := &r.in[idx]
-	if q.len() == 0 || q.peek().Dst != r.node {
-		return false
-	}
 	p := q.peek()
 	if ep == nil {
 		panic(fmt.Sprintf("network: packet %s for node %d with no endpoint", p.Kind, r.node))
@@ -671,7 +645,7 @@ func (f *Fabric) ejectQueue(r *router, ep Endpoint, idx int, cycle uint64) bool 
 	kind := p.Kind
 	if !ep.Deliver(p, cycle) {
 		f.ejectStalled++
-		return false
+		return
 	}
 	q.pop()
 	r.inCount--
@@ -684,20 +658,18 @@ func (f *Fabric) ejectQueue(r *router, ep Endpoint, idx int, cycle uint64) bool 
 		}
 	}
 	f.updateHead(r, idx)
-	f.returnCredit(r, idx/f.Cfg.VCs, idx%f.Cfg.VCs)
+	f.returnCredit(r, idx/numVCs, idx%numVCs)
 	f.Delivered++
 	f.Counters.IncH(f.deliveredH[kind])
-	return true
 }
 
-// forward performs output-port arbitration: for every output port pick one
-// eligible head packet (round-robin over inputs including injection). Only
-// occupied queues are visited, in exactly the round-robin order of the
-// plain scan.
+// forward performs output-port arbitration: for every output port send the
+// first occupied queue, round-robin from rrPort over link inputs and
+// injection queues, whose cached head routes to that port and holds a
+// downstream credit.
 //
 //ar:hotpath
 func (f *Fabric) forward(r *router, cycle uint64) {
-	nin := r.ports*f.Cfg.VCs + f.Cfg.VCs // link inputs + injection queues
 	for out := 0; out < r.ports; out++ {
 		// Skip output ports no head currently wants. The mask is re-read
 		// every iteration because a pop can promote a new head wanting a
@@ -712,102 +684,56 @@ func (f *Fabric) forward(r *router, cycle uint64) {
 		if !l.ok {
 			continue
 		}
-		if r.maskable {
-			// Visit occupied queues in (rrPort + k) % nin order: the bits
-			// at and above rrPort first, then the wrapped-around low bits.
-			// The cached headOut filters ineligible queues with one int8
-			// compare before any packet dereference.
-			high := r.occ & (^uint64(0) << uint(r.rrPort))
-			low := r.occ &^ (^uint64(0) << uint(r.rrPort))
-			done := false
-			for _, m := range [2]uint64{high, low} {
-				for m != 0 {
-					idx := bits.TrailingZeros64(m)
-					m &= m - 1
-					if int(r.headOut[idx]) != out {
-						continue
-					}
-					// Cached head VC: refuse on missing credits without
-					// touching the packet at all.
-					if r.credits[out*f.Cfg.VCs+int(r.headVC[idx])] <= 0 {
-						continue
-					}
-					if f.tryForward(r, out, idx, l, cycle, nin) {
-						done = true
-						break
-					}
-				}
-				if done {
-					break
-				}
-			}
-			continue
-		}
-		for k := 0; k < nin; k++ {
-			idx := (r.rrPort + k) % nin
-			if f.tryForward(r, out, idx, l, cycle, nin) {
+		// Rotating occ right by rrPort lists the queues in round-robin
+		// order: rrPort upward, then the wrapped-around low bits (bits at
+		// and above nin are always clear).
+		for m := bits.RotateLeft64(r.occ, -r.rrPort); m != 0; m &= m - 1 {
+			idx := (bits.TrailingZeros64(m) + r.rrPort) & 63
+			if int(r.headOut[idx]) == out && r.credits[out*numVCs+int(r.headVC[idx])] > 0 {
+				f.send(r, out, idx, l, cycle)
 				break
 			}
 		}
 	}
 }
 
-// tryForward attempts to transmit the head of input queue idx through
-// output port out; it reports whether a packet was sent. On the maskable
-// path the caller has already matched the cached headOut, so the plain
-// checks below only run for the non-maskable fallback (and stay correct
-// either way).
-func (f *Fabric) tryForward(r *router, out, idx int, l link, cycle uint64, nin int) bool {
-	q := r.queueAt(idx, f.Cfg.VCs)
-	injected := idx >= r.ports*f.Cfg.VCs
-	if q.len() == 0 {
-		return false
-	}
-	p := q.peek()
-	if p.Dst == r.node {
-		return false // ejection handles it
-	}
-	if int(r.routeTo[p.Dst]) != out {
-		return false
-	}
-	vc := vcBase(p.Kind) + int(r.hopClass[p.Dst])
-	if r.credits[out*f.Cfg.VCs+vc] <= 0 {
-		return false
-	}
-	// Transmit.
-	q.pop()
+// send transmits the head of queue idx through output port out, whose link
+// is free and whose downstream VC headVC[idx] holds a credit.
+func (f *Fabric) send(r *router, out, idx int, l link, cycle uint64) {
+	q := r.queueAt(idx)
+	vc := int(r.headVC[idx])
+	p := q.pop()
 	if q.len() == 0 {
 		r.unmarkIn(idx)
 	}
 	f.updateHead(r, idx)
-	if injected {
+	if idx >= r.ports*numVCs {
 		r.injCount--
 	} else {
 		r.inCount--
-		f.returnCredit(r, idx/f.Cfg.VCs, idx%f.Cfg.VCs)
+		f.returnCredit(r, idx/numVCs, idx%numVCs)
 	}
 	if r.inCount+r.injCount == 0 {
 		f.busyNodes &^= 1 << uint(r.node)
 	}
 	f.queued--
-	r.credits[out*f.Cfg.VCs+vc]--
+	r.credits[out*numVCs+vc]--
 	ser := uint64((p.Size + f.Cfg.LinkBandwidth - 1) / f.Cfg.LinkBandwidth)
-	busy := ser * f.Cfg.ClockDiv
-	r.linkBusy[out] = cycle + busy
-	arrive := cycle + (ser+f.Cfg.LinkLatency+f.Cfg.RouterDelay)*f.Cfg.ClockDiv
-	p.Hops++
-	f.HopBytes += uint64(p.Size)
-	if ser+f.Cfg.LinkLatency+f.Cfg.RouterDelay >= f.wheelHorizon {
+	r.linkBusy[out] = cycle + ser*f.Cfg.ClockDiv
+	wire := ser + f.Cfg.LinkLatency + f.Cfg.RouterDelay
+	if wire >= f.wheelHorizon {
 		panic("network: arrival beyond wheel horizon")
 	}
+	arrive := cycle + wire*f.Cfg.ClockDiv
+	p.Hops++
+	f.HopBytes += uint64(p.Size)
 	peer := f.routers[l.peer]
-	peer.pending.push(f.netCycle(arrive), arrival{p: p, port: l.peerPort, vc: vc, cycle: arrive})
+	peer.pending.push(f.netCycle(arrive), arrival{p: p, port: l.peerPort, vc: vc})
 	if arrive < peer.pendingMin {
 		peer.pendingMin = arrive
 	}
 	f.pendingNodes |= 1 << uint(l.peer)
-	r.rrPort = (idx + 1) % nin
-	return true
+	r.rrPort = (idx + 1) % (r.ports*numVCs + numVCs)
 }
 
 // returnCredit gives a buffer slot back to the upstream router feeding
@@ -820,32 +746,5 @@ func (f *Fabric) returnCredit(r *router, port, vc int) {
 	if up.node < 0 {
 		return
 	}
-	f.pendingCredits = append(f.pendingCredits, credRef{node: int32(up.node), idx: int32(up.port*f.Cfg.VCs + vc)}) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
-}
-
-// DebugQueues renders non-empty queue occupancy with head packet info
-// (debug tooling).
-func (f *Fabric) DebugQueues() string {
-	out := ""
-	for _, r := range f.routers {
-		for port := 0; port < r.ports; port++ {
-			for vc := 0; vc < f.Cfg.VCs; vc++ {
-				q := &r.in[port*f.Cfg.VCs+vc]
-				if q.len() > 0 {
-					h := q.peek()
-					out += fmt.Sprintf("node %d in[p%d vc%d] len=%d head=%s dst=%d\n", r.node, port, vc, q.len(), h.Kind, h.Dst)
-				}
-			}
-		}
-		for vc := 0; vc < f.Cfg.VCs; vc++ {
-			if r.inj[vc].len() > 0 {
-				h := r.inj[vc].peek()
-				out += fmt.Sprintf("node %d inj[vc%d] len=%d head=%s dst=%d\n", r.node, vc, r.inj[vc].len(), h.Kind, h.Dst)
-			}
-		}
-		if r.pending.len() > 0 {
-			out += fmt.Sprintf("node %d pending=%d\n", r.node, r.pending.len())
-		}
-	}
-	return out
+	f.pendingCredits = append(f.pendingCredits, credRef{node: int32(up.node), idx: int32(up.port*numVCs + vc)}) //ar:exempt(hotpath) append into a retained buffer whose capacity is reused across ticks
 }

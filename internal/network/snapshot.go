@@ -72,7 +72,7 @@ func (f *Fabric) Restore(d *sim.Dec) {
 			return
 		}
 		r.rrPort = d.Int()
-		if nin := r.ports*f.Cfg.VCs + f.Cfg.VCs; r.rrPort < 0 || r.rrPort >= nin {
+		if nin := r.ports*numVCs + numVCs; r.rrPort < 0 || r.rrPort >= nin {
 			d.Fail("fabric node %d rrPort %d out of range", r.node, r.rrPort)
 			return
 		}

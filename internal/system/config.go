@@ -155,28 +155,27 @@ type Config struct {
 }
 
 // Validate rejects configurations the machine cannot be built or run with.
-// It covers every field the sweep axes mutate plus the structural minima the
-// assembly code assumes; DefaultConfig always validates.
+// It covers every field the sweep axes mutate, the structural minima the
+// assembly code assumes, and the shapes it hard-codes (16 tiles, 16 cubes,
+// 4 memory controllers, 6 VCs, power-of-two cache sets); DefaultConfig
+// always validates.
 func (c *Config) Validate() error {
 	checks := []struct {
 		ok   bool
 		what string
 	}{
 		{c.Scheme >= SchemeDRAM && c.Scheme <= SchemeARFea, "Scheme out of range"},
-		{c.Threads > 0, "Threads must be positive"},
+		{c.Threads > 0 && c.Threads <= meshTiles, "Threads must be in [1, 16], at most one per tile"},
 		{c.Core.IssueWidth > 0 && c.Core.CommitWidth > 0, "core issue/commit width must be positive"},
 		{c.Core.ROBSize > 0, "core ROB size must be positive"},
-		{c.L1.SizeBytes > 0 && c.L1.Ways > 0, "L1 geometry must be positive"},
-		{c.L2.BankSizeBytes > 0 && c.L2.Ways > 0, "L2 geometry must be positive"},
-		{c.NoC.LinkBandwidth > 0, "NoC.LinkBandwidth must be positive"},
-		{c.NoC.VCs > 0 && c.NoC.QueueDepth > 0, "NoC queues must be positive"},
-		{c.MemNet.LinkBandwidth > 0, "MemNet.LinkBandwidth must be positive"},
-		{c.MemNet.VCs > 0 && c.MemNet.QueueDepth > 0, "MemNet queues must be positive"},
+		{pow2Sets(c.L1.SizeBytes, c.L1.Ways), "L1 set count (SizeBytes/64/Ways) must be a positive power of two"},
+		{pow2Sets(c.L2.BankSizeBytes, c.L2.Ways), "L2 set count (BankSizeBytes/64/Ways) must be a positive power of two"},
 		{c.ARE.MaxFlows > 0, "ARE.MaxFlows must be positive"},
 		{c.ARE.OperandBufs > 0, "ARE.OperandBufs must be positive"},
 		{c.ARE.DecodeRate > 0 && c.ARE.ALURate > 0, "ARE decode/ALU rates must be positive"},
-		{c.DRAMGeom.Channels > 0, "DRAM channels must be positive"},
-		{c.HMCGeom.Cubes > 0 && c.HMCGeom.VaultsPerCube > 0, "HMC geometry must be positive"},
+		{c.DRAMGeom.Channels == len(mcTiles), "DRAMGeom.Channels must be 4, one per memory controller"},
+		{c.HMCGeom.Cubes == hmcCubes, "HMCGeom.Cubes must be 16, the memory network's cube count"},
+		{c.HMCGeom.VaultsPerCube > 0, "HMC geometry must be positive"},
 		{c.CoordQueue > 0, "CoordQueue must be positive"},
 		{c.MIQueue > 0 && c.MIWindow > 0, "MI queue/window must be positive"},
 		{c.Cube.VaultQueue > 0 && c.Cube.XbarRate > 0, "cube vault queue and crossbar rate must be positive"},
@@ -193,7 +192,23 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("system: invalid config: %s", ch.what)
 		}
 	}
+	if err := c.NoC.Validate(); err != nil {
+		return fmt.Errorf("system: invalid config: NoC.%v", err)
+	}
+	if err := c.MemNet.Validate(); err != nil {
+		return fmt.Errorf("system: invalid config: MemNet.%v", err)
+	}
 	return nil
+}
+
+// pow2Sets reports whether a cache of size bytes and the given ways has the
+// positive power-of-two set count its index masks need.
+func pow2Sets(size, ways int) bool {
+	if ways <= 0 {
+		return false
+	}
+	sets := size / mem.BlockSize / ways
+	return sets > 0 && sets&(sets-1) == 0
 }
 
 // cfgHashVersion salts Config.Hash. Bump it whenever the configuration
@@ -266,6 +281,16 @@ func (c *Config) PrefixHash(cycle uint64) uint64 {
 	fmt.Fprintf(h, "%d|%d", pc.Seed, pc.IPCSampleCycles)
 	return h.Sum64()
 }
+
+// meshDim is the host NoC's side: a 4×4 mesh whose every tile hosts a
+// core, an L1 and an L2 bank, so meshTiles bounds Threads.
+const (
+	meshDim   = 4
+	meshTiles = meshDim * meshDim
+)
+
+// hmcCubes is the cube count of both memory-network topologies.
+const hmcCubes = 16
 
 // mcTiles are the NoC tiles hosting the four memory controllers (Table
 // 4.1: "4 MC at 4 corners").

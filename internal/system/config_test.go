@@ -26,6 +26,22 @@ func TestValidateRejectsBadFields(t *testing.T) {
 		{"zero link bw", func(c *Config) { c.MemNet.LinkBandwidth = 0 }, "LinkBandwidth"},
 		{"zero threads", func(c *Config) { c.Threads = 0 }, "Threads"},
 		{"zero max cycles", func(c *Config) { c.MaxCycles = 0 }, "MaxCycles"},
+		// Shapes the machine wiring hard-codes: six VCs, positive fabric
+		// clock and injection depth, 16 tiles, 16 cubes, 4 memory
+		// controllers, power-of-two cache sets.
+		{"four NoC VCs", func(c *Config) { c.NoC.VCs = 4 }, "NoC.VCs must be 6"},
+		{"seven MemNet VCs", func(c *Config) { c.MemNet.VCs = 7 }, "MemNet.VCs must be 6"},
+		{"zero NoC clock divider", func(c *Config) { c.NoC.ClockDiv = 0 }, "NoC.ClockDiv"},
+		{"zero MemNet clock divider", func(c *Config) { c.MemNet.ClockDiv = 0 }, "MemNet.ClockDiv"},
+		{"zero NoC injection depth", func(c *Config) { c.NoC.InjDepth = 0 }, "NoC.InjDepth"},
+		{"negative MemNet injection depth", func(c *Config) { c.MemNet.InjDepth = -1 }, "MemNet.InjDepth"},
+		{"more threads than tiles", func(c *Config) { c.Threads = 17 }, "Threads"},
+		{"eight cubes", func(c *Config) { c.HMCGeom.Cubes = 8 }, "HMCGeom.Cubes"},
+		{"32 cubes", func(c *Config) { c.HMCGeom.Cubes = 32 }, "HMCGeom.Cubes"},
+		{"fewer DRAM channels than MCs", func(c *Config) { c.DRAMGeom.Channels = 3 }, "DRAMGeom.Channels"},
+		{"more DRAM channels than MCs", func(c *Config) { c.DRAMGeom.Channels = 8 }, "DRAMGeom.Channels"},
+		{"L1 with 12 sets", func(c *Config) { c.L1.SizeBytes = 3 << 10 }, "L1 set count"},
+		{"L2 with no whole set", func(c *Config) { c.L2.BankSizeBytes = 128 }, "L2 set count"},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig(SchemeARFtid)

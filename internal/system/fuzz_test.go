@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/system"
+	"repro/internal/workload"
 )
 
 // mutate builds a config by splattering arbitrary fuzz values over the
@@ -37,9 +38,17 @@ func mutate(scheme int, threads, issue, rob, l1Size, l1Ways, l2Size, l2Ways,
 	return cfg
 }
 
+// runSizeCap bounds the sizes New preallocates storage for (ROB rings,
+// cache sets, router queues) when FuzzConfigValidate runs an accepted
+// config: Validate sets no upper bounds, and a multi-gigabyte machine is
+// not a property of the wiring.
+const runSizeCap = 1 << 12
+
 // FuzzConfigValidate asserts Validate never panics on arbitrary field
 // mutations, is pure (same verdict twice, no config mutation — pinned by
-// hashing before and after), and accepts every DefaultConfig.
+// hashing before and after), and accepts every DefaultConfig. An accepted
+// config of test-sized storage is then built and run for at most 3000
+// cycles: it must end in success or a returned error, never a panic.
 func FuzzConfigValidate(f *testing.F) {
 	f.Add(3, 16, 4, 128, 4096, 4, 2048, 4, 16, 16, 4, 8, 512, 64, 32, 16,
 		uint64(42), uint64(200_000_000), uint64(2048))
@@ -48,6 +57,12 @@ func FuzzConfigValidate(f *testing.F) {
 		uint64(1), uint64(1), uint64(1))
 	f.Add(99, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
 		^uint64(0), ^uint64(0), ^uint64(0))
+	// Accepted configs: ARF-tid at its defaults (runs to completion) and a
+	// small DRAM machine with one-entry queues (ends on its budget).
+	f.Add(3, 16, 8, 64, 4096, 4, 2048, 4, 32, 32, 6, 8, 256, 32, 32, 16,
+		uint64(42), uint64(200_000_000), uint64(2048))
+	f.Add(0, 5, 1, 7, 1024, 2, 512, 8, 1, 3, 6, 1, 1, 1, 1, 1,
+		uint64(9), uint64(1), uint64(1))
 	f.Fuzz(func(t *testing.T, scheme, threads, issue, rob, l1Size, l1Ways, l2Size, l2Ways,
 		nocBW, memBW, vcs, depth, maxFlows, opBufs, coordQ, miQ int,
 		seed, maxCycles, ipcWindow uint64) {
@@ -63,6 +78,19 @@ func FuzzConfigValidate(f *testing.F) {
 		if after := cfg.Hash(); after != before {
 			t.Fatalf("Validate mutated the config: hash %s -> %s", before, after)
 		}
+		if err1 != nil {
+			return
+		}
+		if max(issue, rob, depth, maxFlows, opBufs, coordQ, miQ) > runSizeCap ||
+			max(l1Size, l2Size) > runSizeCap*64 {
+			return
+		}
+		cfg.MaxCycles = min(cfg.MaxCycles, 3000)
+		s, err := system.New(cfg, "mac", workload.ScaleTiny)
+		if err != nil {
+			return
+		}
+		_, _ = s.Run()
 	})
 }
 

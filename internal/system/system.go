@@ -241,7 +241,7 @@ func NewWith(cfg Config, wl workload.Workload) (*System, error) {
 	wl.Init(s.env)
 
 	// --- Host NoC: 4x4 mesh, every tile hosts a core+L1 and an L2 bank.
-	meshTopo := network.NewMesh(4, nil)
+	meshTopo := network.NewMesh(meshDim, nil)
 	s.noc = network.NewFabric(meshTopo, cfg.NoC)
 	tiles := meshTopo.Tiles()
 	s.memTags = make([]uint64, tiles)
